@@ -54,7 +54,6 @@ from .errors import (
     NumericalError,
     ParseError,
     ValidationError,
-    ZeroGradient,
 )
 from .montecarlo import SimulationReport, SimulationStudy, emit_report, run_simulation
 from .network import Network, annualize_costs, load_network, network_hash
@@ -83,7 +82,6 @@ __all__ = [
     "SimulationStudy",
     "StudyConfig",
     "ValidationError",
-    "ZeroGradient",
     "__version__",
     "annualize_costs",
     "beta_for_quantile",

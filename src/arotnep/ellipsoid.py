@@ -7,7 +7,13 @@ coordinates marked ``-1`` may only fall below their mean (generator
 capacities), ``+1`` only rise above it (demand loads), ``0`` move both ways.
 The maximization helpers answer the question the worst-case subproblem asks
 each sweep: given a cost gradient, which point of the set maximizes the
-linearized cost?
+linearized cost? When neither the bare-ellipsoid maximizer nor the interval
+corner is feasible, both limits bind and the step is exact: for the inverse
+``t`` of the ellipsoid multiplier, a primal active-set method solves the
+box-constrained quadratic program of the Lagrangian, and because its
+solution is affine in ``t`` while the active set holds, the ``t`` that puts
+it on the ellipsoid follows from a quadratic equation, safeguarded by a
+bisection bracket. A few such steps suffice.
 
 The probability helpers convert between the set radius and Gaussian
 quantiles: a radius ``beta`` covers the cost distribution to level
@@ -248,9 +254,10 @@ class EllipsoidalSet:
 
         Tries, in order: the bare-ellipsoid maximizer (kept when it respects
         the intervals), the interval maximizer (kept when it respects the
-        ellipsoid), and otherwise an exact boundary solve — bisection on the
-        ellipsoid multiplier with cyclic coordinate ascent under clipping,
-        verified to a KKT residual of ``kkt_tol``.
+        ellipsoid), and otherwise an exact boundary solve — an active-set
+        box QP for each trial value of the inverse ellipsoid multiplier,
+        with the multiplier found in closed form per active set inside a
+        bisection bracket — verified to a KKT residual of ``kkt_tol``.
         """
         step = self.analytical_step(eta)
         if step.zero_gradient:
@@ -272,64 +279,60 @@ class EllipsoidalSet:
         d = self._boundary_solve(eta, kkt_tol)
         return MaxLikelihoodPoint(d, stage="boundary")
 
-    def _lagrangian_argmax(self, eta: np.ndarray, omega: float) -> np.ndarray:
-        """Coordinate-wise maximizer of
-        ``eta @ d - (omega/2) (d-mean)' inv(Sigma) (d-mean)`` over the box."""
-        Q = self._precision
-        lo = self.lower - self.mean
-        hi = self.upper - self.mean
-        delta = np.clip(np.zeros(self.dim), lo, hi)
-        diag = np.diag(Q)
-        for _ in range(500):
-            biggest = 0.0
-            for i in range(self.dim):
-                rest = Q[i] @ delta - diag[i] * delta[i]
-                target = (eta[i] / omega - rest) / diag[i]
-                new = min(max(target, lo[i]), hi[i])
-                biggest = max(biggest, abs(new - delta[i]))
-                delta[i] = new
-            if biggest <= 1e-13 * (1.0 + float(np.max(np.abs(delta)))):
-                break
-        return self.mean + delta
-
     def _boundary_solve(self, eta: np.ndarray, kkt_tol: float) -> np.ndarray:
+        """Maximizer of ``eta @ d`` when the ellipsoid and the box both bind.
+
+        With ``t = 1/omega`` for the ellipsoid multiplier ``omega``, the
+        Lagrangian maximizer over the box is ``mean + delta(t)``, where
+        ``delta(t)`` minimizes ``delta' Q delta / 2 - t eta' delta`` over the
+        box (``Q`` the precision matrix). ``delta(t)' Q delta(t)`` is
+        nondecreasing and piecewise quadratic in ``t``: while the active set
+        holds, ``delta(t) = t a + b``. Each iteration solves the box QP at
+        ``t``, narrows a bracket on the sign of the excess over
+        ``radius**2``, and moves to the closed-form root of the current
+        piece when it lies inside the bracket; otherwise it bisects, or
+        doubles ``t`` while the bracket is still open above.
+        """
         if self.radius <= 0.0:
             return self.mean.copy()
-        target = self.radius**2
-
-        def excess(omega: float) -> tuple[float, np.ndarray]:
-            d = self._lagrangian_argmax(eta, omega)
-            return self.mahalanobis_sq(d) - target, d
-
-        omega_lo = 1e-10
-        ex_lo, _ = excess(omega_lo)
-        if ex_lo <= 0.0:
-            # Even a nearly unconstrained multiplier keeps us inside: the box
-            # point should have been accepted earlier; fall back to it.
-            return self._lagrangian_argmax(eta, omega_lo)
-        omega_hi = 1.0
+        Q = self._precision
+        r2 = self.radius**2
+        lo = self.lower - self.mean
+        hi = self.upper - self.mean
+        fixed = lo == hi
+        # Start from the clipped bare-ellipsoid maximizer and its multiplier.
+        t = self.radius / math.sqrt(float(eta @ self.covariance @ eta))
+        delta = np.clip(t * (self.covariance @ eta), lo, hi)
+        side = np.where(delta <= lo, -1, np.where(delta >= hi, 1, 0)).astype(np.int8)
+        t_lo, t_hi = 0.0, math.inf
         for _ in range(200):
-            ex_hi, _ = excess(omega_hi)
-            if ex_hi < 0.0:
+            delta, side, a, b = _box_qp(Q, eta, t, lo, hi, delta, side)
+            omega = 1.0 / t
+            excess = float(delta @ Q @ delta) - r2
+            if abs(excess) <= 1e-12 * (1.0 + r2):
                 break
-            omega_lo = omega_hi
-            omega_hi *= 10.0
-        else:  # pragma: no cover - defensive
-            raise NumericalError("could not bracket the ellipsoid multiplier")
-
-        d = self.mean.copy()
-        for _ in range(200):
-            omega = 0.5 * (omega_lo + omega_hi)
-            ex, d = excess(omega)
-            if abs(ex) <= 1e-12 * (1.0 + target):
-                break
-            if ex > 0.0:
-                omega_lo = omega
+            if excess < 0.0:
+                t_lo = t
             else:
-                omega_hi = omega
-        omega = 0.5 * (omega_lo + omega_hi)
-        ex, d = excess(omega)
+                t_hi = t
+            qa = Q @ a
+            root = _upper_root(float(a @ qa), float(b @ qa), float(b @ Q @ b) - r2)
+            if t_lo < root < t_hi:
+                t = root
+            elif math.isfinite(t_hi):
+                mid = 0.5 * (t_lo + t_hi)
+                if not t_lo < mid < t_hi:
+                    break
+                t = mid
+            elif np.any(a) or np.any((side * eta < 0.0) & ~fixed):
+                t *= 2.0  # delta still grows, or a bound releases further out
+            else:
+                # This active set holds for every larger t with delta fixed
+                # inside the ellipsoid: the ellipsoid does not bind, and the
+                # point maximizes eta @ d over the box.
+                return self.mean + delta
 
+        d = self.mean + delta
         resid = self._kkt_residual(eta, d, omega)
         if resid > kkt_tol:
             raise NumericalError(
@@ -360,3 +363,74 @@ class EllipsoidalSet:
                        float(np.max(self.lower - d, initial=0.0)))
         res = max(res, box_viol / scale)
         return res
+
+
+def _upper_root(qa: float, qb: float, qc: float) -> float:
+    """Larger root of ``qa t**2 + 2 qb t + qc`` (``nan`` if there is none)."""
+    disc = qb * qb - qa * qc
+    if qa <= 0.0 or disc < 0.0:
+        return math.nan
+    s = math.sqrt(disc)
+    return (s - qb) / qa if qb <= 0.0 else -qc / (qb + s)
+
+
+def _box_qp(Q: np.ndarray, eta: np.ndarray, t: float, lo: np.ndarray, hi: np.ndarray,
+            x: np.ndarray, side: np.ndarray):
+    """Minimizer of ``x' Q x / 2 - t eta' x`` over ``lo <= x <= hi`` for
+    symmetric positive definite ``Q``, by the primal active-set method with
+    step lengths (Nocedal & Wright, *Numerical Optimization*, Alg. 16.3).
+
+    Starts from the feasible ``x`` with working set ``side`` (``-1`` held at
+    the lower bound, ``+1`` at the upper, ``0`` free), which must hold every
+    coordinate that sits at a bound. Returns the minimizer, its working set
+    and ``a``, ``b`` such that the minimizer is ``t a + b`` for as long as
+    the working set stays optimal.
+
+    Each pass either reaches the minimizer on the working set's face or
+    stops at the first bound in the way and holds it. A bound is released
+    only at a face minimizer whose multiplier is negative beyond rounding,
+    so the objective falls strictly between face minimizers and no working
+    set recurs: the method cannot cycle. The pass cap guards against
+    rounding alone.
+    """
+    n = x.size
+    x = x.copy()
+    side = side.copy()
+    fixed = lo == hi
+    for _ in range(100 * (n + 1)):
+        free = side == 0
+        F = np.flatnonzero(free)
+        a = np.zeros(n)
+        b = np.where(free, 0.0, x)
+        if F.size:
+            held = ~free
+            rhs = np.column_stack((eta[F], -(Q[np.ix_(F, held)] @ x[held])))
+            ab = np.linalg.solve(Q[np.ix_(F, F)], rhs)
+            a[F] = ab[:, 0]
+            b[F] = ab[:, 1]
+        step = t * a + b - x
+        down = step < 0.0
+        up = step > 0.0
+        ratio = np.full(n, np.inf)
+        ratio[down] = (lo[down] - x[down]) / step[down]
+        ratio[up] = (hi[up] - x[up]) / step[up]
+        alpha = max(float(np.min(ratio)), 0.0)
+        if alpha < 1.0:
+            hit = ratio <= alpha
+            x += alpha * step
+            x[hit & down] = lo[hit & down]
+            x[hit & up] = hi[hit & up]
+            side[hit & down] = -1
+            side[hit & up] = 1
+            continue
+        x = np.clip(t * a + b, lo, hi)
+        qx = Q @ x
+        g = qx - t * eta
+        mult = np.where(side < 0, g, -g)
+        mult[free | fixed] = np.inf
+        j = int(np.argmin(mult))
+        tol = 1e-12 * (t * float(np.max(np.abs(eta))) + float(np.max(np.abs(qx))))
+        if not mult[j] < -tol:
+            return x, side, a, b
+        side[j] = 0
+    raise NumericalError("box-constrained QP of the boundary solve did not settle")

@@ -40,10 +40,6 @@ class NotPositiveDefinite(ArotnepError):
         super().__init__(message or f"matrix is not positive definite (leading minor {index})")
 
 
-class ZeroGradient(ArotnepError):
-    """The sensitivity vector is identically zero (flat linearization)."""
-
-
 class IterationLimit(ArotnepError):
     """An iterative scheme hit its iteration cap before converging."""
 

@@ -24,7 +24,9 @@ import numpy as np
 
 from .errors import InfeasibleOperation, ValidationError
 from .network import LINE_EXISTING, Line, Network
-from .simplex import KKTReport, LinearProgram, check_kkt, solve_lp
+from .simplex import LinearProgram, solve_lp
+# Not called here: perfbench/tracer.py times check_kkt under this module.
+from .simplex import check_kkt  # noqa: F401
 
 ANGLE_BOUND = math.pi
 
@@ -52,7 +54,6 @@ class OPFSolution:
     angle: np.ndarray
     eta: np.ndarray
     clipped: int
-    kkt: KKTReport
 
 
 def active_lines(net: Network, built) -> list[Line]:
@@ -177,5 +178,4 @@ def solve_opf(net: Network, d: np.ndarray | None = None,
         angle=x[off_t:].copy(),
         eta=eta,
         clipped=clipped,
-        kkt=check_kkt(lp, sol),
     )

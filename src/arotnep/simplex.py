@@ -442,9 +442,10 @@ class _Simplex:
     # -- extraction -------------------------------------------------------------
 
     def extract(self, status: str) -> LPSolution:
+        """Solution at the current basis; an optimal one must be freshly
+        refactorized."""
         if status != STATUS_OPTIMAL:
             return LPSolution(status=status, iterations=self.iterations)
-        self._refactor()
         y = self._duals(self.c)
         r_all = self.c - self.A.T @ y
         n = self.n
@@ -536,6 +537,7 @@ def solve_lp_warm(lp: LinearProgram, state: BasisState,
             return LPSolution(status=STATUS_INFEASIBLE, iterations=sx.iterations), None
         if status != STATUS_OPTIMAL:
             return sx.extract(status), None
+        sx._refactor()
         return sx.extract(STATUS_OPTIMAL), sx.basis_state()
     except NumericalError:
         sol = solve_lp(lp, max_iter)

@@ -3,12 +3,14 @@
 Nothing here shares code with the solvers under test: LP optima come from
 exhaustive vertex enumeration, mixed-binary optima from enumerating every
 binary assignment, and constrained-maximization references from dense random
-sampling with local refinement.
+sampling with local refinement, exhaustive enumeration of active bounds, or
+(with SciPy) the Lagrangian dual.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -259,6 +261,72 @@ def ellipsoid_box_linear_max(eta, mean, cov, radius, lower, upper,
             best_val = value
             best = d.copy()
     return best, best_val
+
+
+def ellipsoid_box_dual_max(eta, mean, cov, radius, lower, upper) -> float:
+    """Maximum of ``eta @ d`` over an ellipsoid intersected with a box, as the
+    minimum of its Lagrangian dual over the ellipsoid multiplier.
+
+    For a multiplier ``w > 0`` the dual function is a box-constrained
+    least-squares problem, solved by SciPy's BVLS; every value of it bounds
+    the maximum from above, and strong duality holds because the mean lies
+    inside the box and strictly inside the ellipsoid. Needs SciPy, and
+    ``lower < upper`` in every coordinate (a BVLS requirement).
+    """
+    from scipy.optimize import lsq_linear, minimize_scalar
+
+    eta = np.asarray(eta, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    precision = np.linalg.inv(cov)
+    R = np.linalg.cholesky(precision).T  # precision = R' R
+    target = np.linalg.solve(R.T, eta)
+    bounds = (np.asarray(lower, dtype=float) - mean, np.asarray(upper, dtype=float) - mean)
+    r2 = float(radius) ** 2
+
+    def dual(log_w: float) -> float:
+        w = math.exp(log_w)
+        delta = lsq_linear(R, target / w, bounds=bounds, method="bvls", tol=1e-14).x
+        return float(eta @ delta - 0.5 * w * (delta @ precision @ delta - r2))
+
+    w0 = math.sqrt(float(eta @ cov @ eta)) / max(float(radius), 1e-12)
+    res = minimize_scalar(dual, bounds=(math.log(w0) - 30.0, math.log(w0) + 30.0),
+                          method="bounded", options={"xatol": 1e-10})
+    return float(eta @ mean) + float(res.fun)
+
+
+def ellipsoid_box_kkt_residual(eta, d, mean, cov, radius, lower, upper) -> float:
+    """How far ``d`` is from satisfying the optimality conditions of
+    maximizing ``eta @ d`` on the boundary of the ellipsoid inside the box.
+
+    ``eta - w inv(cov) (d - mean)`` must vanish on free coordinates and point
+    outward at active bounds for some multiplier ``w >= 0``. Each candidate
+    ``w`` that zeroes one coordinate is tried, and the smallest residual
+    (normalized by the gradient magnitude) is combined with the ellipsoid
+    and box violations. Exact optima score at rounding level.
+    """
+    eta = np.asarray(eta, dtype=float)
+    d = np.asarray(d, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    delta = d - mean
+    pull = np.linalg.solve(np.asarray(cov, dtype=float), delta)
+    scale = 1.0 + float(np.max(np.abs(mean)))
+    at_hi = d >= upper - 1e-9 * scale
+    at_lo = d <= lower + 1e-9 * scale
+    gnorm = float(np.max(np.abs(eta))) + 1e-30
+    candidates = [eta[i] / pull[i] for i in range(d.size) if pull[i] != 0.0]
+    stationarity = np.inf
+    for w in [c for c in candidates if c >= 0.0] or [0.0]:
+        g = eta - w * pull
+        g = np.where(at_hi & ~at_lo, np.minimum(g, 0.0), g)
+        g = np.where(at_lo & ~at_hi, np.maximum(g, 0.0), g)
+        g = np.where(at_lo & at_hi, 0.0, g)
+        stationarity = min(stationarity, float(np.max(np.abs(g))) / gnorm)
+    on_boundary = abs(float(delta @ pull) - radius**2) / (1.0 + radius**2)
+    box = max(float(np.max(d - upper, initial=0.0)), float(np.max(lower - d, initial=0.0)))
+    return max(stationarity, on_boundary, box / scale)
 
 
 def unit_sphere_linear_max(a: np.ndarray, rng: np.random.Generator | None = None,

@@ -1,6 +1,7 @@
 """Uncertainty-set tests: probability helpers against tabulated normal
 values, hand-rolled Cholesky against numpy, worst-case steps against a
-sampling oracle and direct optimality conditions."""
+sampling oracle, exhaustive active-bound enumeration, a Lagrangian-dual
+reference and direct optimality conditions."""
 
 import math
 
@@ -24,7 +25,12 @@ from arotnep.errors import (
     NotPositiveDefinite,
     ValidationError,
 )
-from oracles import ellipsoid_box_argmax
+from oracles import (
+    ellipsoid_box_argmax,
+    ellipsoid_box_dual_max,
+    ellipsoid_box_kkt_residual,
+    ellipsoid_box_linear_max,
+)
 
 
 def random_spd(rng, n, jitter=0.3):
@@ -273,3 +279,146 @@ def test_bounded_step_beats_sampling_oracle(seed):
     ours = float(eta @ step.point)
     slack = 1e-6 * (1.0 + abs(oracle_val))
     assert ours >= oracle_val - slack
+
+
+# ---------------------------------------------------------------------------
+# the boundary solve (ellipsoid and intervals both bind)
+
+
+def random_step_instance(seed):
+    """Ellipsoid-and-interval step with 2 to 24 coordinates, a dense
+    covariance whose smallest eigenvalue goes down to 1e-3, mixed deviation
+    signs and half-widths."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 25))
+    a = rng.normal(size=(n, n))
+    cov = a @ a.T + 10.0 ** rng.uniform(-3.0, 0.0) * np.eye(n)
+    mean = rng.normal(scale=3.0, size=n)
+    radius = float(rng.uniform(0.3, 4.0))
+    half = rng.uniform(0.05, 3.0, size=n)
+    signs = rng.choice([-1.0, 0.0, 1.0], size=n)
+    eta = rng.normal(size=n)
+    return EllipsoidalSet(mean, cov, radius, half_width=half, signs=signs), eta
+
+
+def assert_boundary_step_is_exact(es, eta):
+    """The step takes the boundary solve and matches the 3^n enumeration."""
+    step = es.bounded_step(eta)
+    assert step.stage == "boundary"
+    assert es.contains(step.point, tol=1e-9)
+    want_point, want = ellipsoid_box_linear_max(eta, es.mean, es.covariance, es.radius,
+                                                es.lower, es.upper)
+    assert float(eta @ step.point) == pytest.approx(want, rel=1e-10, abs=1e-10)
+    scale = 1.0 + float(np.max(np.abs(es.mean)))
+    np.testing.assert_allclose(step.point, want_point, rtol=0.0, atol=1e-7 * scale)
+
+
+def garver_sized_set(radius):
+    """Three capacities that may only fall and five loads that may only
+    rise, with the six-bus study's spreads and dense correlations."""
+    mean = np.array([150.0, 360.0, 600.0, 80.0, 240.0, 40.0, 160.0, 240.0])
+    frac = np.array([0.5] * 3 + [0.2] * 5)
+    corr = np.full((8, 8), 0.1)
+    corr[:3, :3] = -0.3
+    corr[3:, 3:] = 0.6
+    np.fill_diagonal(corr, 1.0)
+    return EllipsoidalSet.from_std_and_correlation(
+        mean, frac * mean / 2.3263, corr, radius,
+        half_width=frac * mean, signs=[-1.0] * 3 + [1.0] * 5)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_boundary_solve_garver_sized_correlations(seed):
+    rng = np.random.default_rng(8100 + seed)
+    # Dispatch-like gradients: spare capacity saves cost, extra load adds it.
+    eta = np.concatenate([-rng.uniform(0.0, 80.0, 3), rng.uniform(10.0, 200.0, 5)])
+    assert_boundary_step_is_exact(garver_sized_set(2.3263), eta)
+
+
+@pytest.mark.parametrize("seed,n", [(196, 7), (201, 8), (259, 6)])
+def test_boundary_solve_degenerate_active_sets(seed, n):
+    # Instances on which releasing and fixing bounds by multiplier sign
+    # alone (primal-dual active sets) cycles.
+    es, eta = random_step_instance(seed)
+    assert es.dim == n
+    assert_boundary_step_is_exact(es, eta)
+
+
+def test_boundary_solve_kkt_up_to_24_dimensions():
+    boundary = 0
+    for seed in range(40):
+        es, eta = random_step_instance(seed)
+        step = es.bounded_step(eta)
+        assert es.contains(step.point, tol=1e-9)
+        if step.stage == "boundary":
+            boundary += 1
+            resid = ellipsoid_box_kkt_residual(eta, step.point, es.mean, es.covariance,
+                                               es.radius, es.lower, es.upper)
+            assert resid <= 1e-8
+    assert boundary >= 25
+
+
+def test_boundary_solve_matches_lagrangian_dual():
+    pytest.importorskip("scipy")
+    checked = 0
+    for seed in range(40):
+        es, eta = random_step_instance(seed)
+        step = es.bounded_step(eta)
+        if step.stage != "boundary":
+            continue
+        want = ellipsoid_box_dual_max(eta, es.mean, es.covariance, es.radius,
+                                      es.lower, es.upper)
+        assert float(eta @ step.point) == pytest.approx(want, rel=1e-10, abs=1e-10)
+        checked += 1
+    assert checked >= 25
+
+
+def test_boundary_solve_zero_half_widths():
+    rng = np.random.default_rng(8200)
+    cov = random_spd(rng, 5)
+    es = EllipsoidalSet(rng.normal(size=5), cov, 1.5,
+                        half_width=[0.0, 0.4, 0.0, 0.3, 2.0],
+                        signs=[0.0, 0.0, 1.0, 0.0, 0.0])
+    eta = np.array([1.0, 2.0, -1.0, -1.5, 0.7])
+    assert_boundary_step_is_exact(es, eta)
+    step = es.bounded_step(eta)
+    assert step.point[0] == es.mean[0] and step.point[2] == es.mean[2]
+
+
+def test_boundary_solve_mixed_infinite_half_widths():
+    rng = np.random.default_rng(8300)
+    cov = random_spd(rng, 5)
+    es = EllipsoidalSet(rng.normal(size=5), cov, 2.0,
+                        half_width=[np.inf, 0.3, np.inf, 0.5, 0.2],
+                        signs=[0.0, 0.0, 1.0, -1.0, 0.0])
+    for eta in ([1.0, 1.0, 1.0, 1.0, 1.0], [-2.0, 0.5, 1.5, -1.0, 0.3]):
+        assert_boundary_step_is_exact(es, np.array(eta))
+
+
+def test_boundary_solve_gradient_with_exact_zeros():
+    rng = np.random.default_rng(8400)
+    cov = random_spd(rng, 6)
+    es = EllipsoidalSet(rng.normal(size=6), cov, 1.0, half_width=np.full(6, 1.0),
+                        signs=[1.0, -1.0, 0.0, 0.0, 1.0, 0.0])
+    assert_boundary_step_is_exact(es, np.array([2.0, 0.0, -1.0, 0.0, 0.0, 3.0]))
+
+
+def test_boundary_solve_slack_ellipsoid_on_flat_face():
+    # The gradient ignores the second coordinate, so every point of the
+    # face d0 = 1 maximizes over the box; the corner (1, 0) lies outside
+    # the ellipsoid but (1, 0.9) lies inside it, so the ellipsoid does not
+    # bind at the optimum.
+    es = EllipsoidalSet([0.0, 0.0], [[1.0, 0.9], [0.9, 1.0]], 1.5, half_width=[1.0, 5.0])
+    step = es.bounded_step(np.array([1.0, 0.0]))
+    assert step.stage == "boundary"
+    assert step.point[0] == pytest.approx(1.0, abs=1e-12)
+    assert es.contains(step.point, tol=1e-12)
+
+
+def test_boundary_solve_zero_radius_with_binding_limits():
+    rng = np.random.default_rng(8500)
+    es = EllipsoidalSet(rng.normal(size=4), random_spd(rng, 4), 0.0,
+                        half_width=[0.0, 0.5, 1.0, 0.2], signs=[0.0, 1.0, -1.0, 0.0])
+    for eta in ([1.0, 2.0, -3.0, 0.5], [0.0, -1.0, 1.0, 0.0]):
+        step = es.bounded_step(np.array(eta))
+        np.testing.assert_array_equal(step.point, es.mean)

@@ -4,9 +4,11 @@ six-bus system, and finite-difference checks of the cost gradient."""
 import numpy as np
 import pytest
 
+from arotnep import opf
 from arotnep.datasets import load_dataset
 from arotnep.errors import ValidationError
 from arotnep.opf import clip_uncertain, solve_opf
+from arotnep.simplex import check_kkt, solve_lp
 
 
 @pytest.fixture(scope="module")
@@ -24,8 +26,23 @@ def garver():
     return load_dataset("garver6")
 
 
-def kkt_ok(sol):
-    return sol.kkt.max_residual <= 1e-7 * (1.0 + abs(sol.objective))
+@pytest.fixture
+def dispatch_lps(monkeypatch):
+    """Every (LP, solution) pair that solve_opf hands to the simplex, in
+    call order."""
+    seen = []
+
+    def recording(lp):
+        sol = solve_lp(lp)
+        seen.append((lp, sol))
+        return sol
+
+    monkeypatch.setattr(opf, "solve_lp", recording)
+    return seen
+
+
+def kkt_ok(lp, sol):
+    return check_kkt(lp, sol).max_residual <= 1e-7 * (1.0 + abs(sol.objective))
 
 
 def recompute_balance(net, sol, d):
@@ -45,14 +62,14 @@ def recompute_balance(net, sol, d):
     return resid
 
 
-def test_onebus_nominal(onebus):
+def test_onebus_nominal(onebus, dispatch_lps):
     sol = solve_opf(onebus)
     # 8760 h of 50 MW at the generator price.
     assert sol.objective == pytest.approx(8760.0 * 2.0e-5 * 50.0, rel=1e-9)
     np.testing.assert_allclose(sol.generation, [50.0], atol=1e-7)
     np.testing.assert_allclose(sol.shed, [0.0], atol=1e-9)
     np.testing.assert_allclose(sol.served, [50.0], atol=1e-7)
-    assert kkt_ok(sol)
+    assert kkt_ok(*dispatch_lps[0])
 
 
 def test_onebus_capacity_shortfall_forces_shedding(onebus):
@@ -87,13 +104,13 @@ def test_clip_uncertain_counts(onebus):
     np.testing.assert_allclose(sol.served, [0.0], atol=1e-9)
 
 
-def test_twobus_congested_without_build(twobus):
+def test_twobus_congested_without_build(twobus, dispatch_lps):
     sol = solve_opf(twobus)
     want = 8760.0 * (1.0e-5 * 40.0 + 2.0e-4 * 20.0)
     assert sol.objective == pytest.approx(want, rel=1e-9)
     np.testing.assert_allclose(sol.flow, [40.0], atol=1e-7)
     np.testing.assert_allclose(sol.shed, [20.0], atol=1e-7)
-    assert kkt_ok(sol)
+    assert kkt_ok(*dispatch_lps[0])
 
 
 def test_twobus_candidate_relieves_congestion(twobus):
@@ -116,7 +133,7 @@ def test_wrong_uncertain_size_rejected(twobus):
         solve_opf(twobus, d=np.ones(5))
 
 
-def test_garver_nominal_isolated_bus(garver):
+def test_garver_nominal_isolated_bus(garver, dispatch_lps):
     sol = solve_opf(garver)
     # Bus 6 has no lines yet, so its 600 MW can't serve anything and at
     # least the 250 MW system shortfall must be shed.
@@ -124,7 +141,7 @@ def test_garver_nominal_isolated_bus(garver):
     assert float(sol.shed.sum()) >= 250.0 - 1e-6
     np.testing.assert_allclose(recompute_balance(garver, sol, None),
                                np.zeros(6), atol=1e-6)
-    assert kkt_ok(sol)
+    assert kkt_ok(*dispatch_lps[0])
 
 
 def test_garver_build_reduces_cost(garver):
@@ -151,7 +168,7 @@ def test_flow_angle_coupling(garver):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_gradient_matches_finite_differences(garver, seed):
+def test_gradient_matches_finite_differences(garver, seed, dispatch_lps):
     rng = np.random.default_rng(7000 + seed)
     nominal = garver.nominal_uncertain()
     # Generic interior point: capacities a bit below nominal, loads a bit up.
@@ -168,4 +185,4 @@ def test_gradient_matches_finite_differences(garver, seed):
         fd = (solve_opf(garver, d=dp, built=built).objective
               - solve_opf(garver, d=dm, built=built).objective) / (2.0 * h)
         assert sol.eta[i] == pytest.approx(fd, abs=5e-5 * (1.0 + abs(fd)))
-    assert kkt_ok(sol)
+    assert kkt_ok(*dispatch_lps[0])

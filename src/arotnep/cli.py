@@ -43,7 +43,7 @@ from .decomp import PlanResult, outer_solve
 from .ellipsoid import phi
 from .errors import ArotnepError, ParseError, ValidationError
 from .montecarlo import SimulationStudy, emit_report, run_simulation
-from .network import network_hash
+from .network import network_hash, read_json
 from .opf import active_lines
 
 EXIT_OK = 0
@@ -104,15 +104,7 @@ def plan_to_dict(cfg: StudyConfig, net_hash: str, radius: float,
 
 
 def read_plan_file(path: str | Path) -> dict:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read plan file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"plan file {path} is not valid JSON: {exc}") from exc
+    data = read_json(path, "plan file")
     if not isinstance(data, dict):
         raise ParseError(f"plan file {path} must hold a JSON object")
     for key in ("network_hash", "built", "worst_cost", "radius", "status"):

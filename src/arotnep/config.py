@@ -14,7 +14,6 @@ must be given.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,32 +22,8 @@ import numpy as np
 
 from .ellipsoid import EllipsoidalSet, beta_for_quantile, std_from_interval
 from .errors import ParseError, ValidationError
-from .network import Network, annualize_costs, load_network
-
-_NUMBER = (int, float)
-
-
-def _require_keys(obj: dict, allowed: set[str], required: set[str], ctx: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ParseError(f"{ctx}: unknown keys {sorted(unknown)}")
-    missing = required - set(obj)
-    if missing:
-        raise ParseError(f"{ctx}: missing keys {sorted(missing)}")
-
-
-def _num(obj: dict, key: str, ctx: str) -> float:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, _NUMBER):
-        raise ParseError(f"{ctx}: {key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _int(obj: dict, key: str, ctx: str) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{ctx}: {key} must be an integer, got {value!r}")
-    return value
+from .network import (Network, annualize_costs, get_int, get_num, load_network,
+                      read_json, require_keys)
 
 
 @dataclass(frozen=True)
@@ -106,8 +81,8 @@ class StudyConfig:
 def _parse_uncertainty(obj, ctx: str) -> UncertaintySpec:
     if not isinstance(obj, dict):
         raise ParseError(f"{ctx} must be an object")
-    _require_keys(obj, {"std", "correlations", "beta", "quantile", "bounds",
-                        "sign_restricted", "std_scale"}, {"std"}, ctx)
+    require_keys(obj, {"std", "correlations", "beta", "quantile", "bounds",
+                       "sign_restricted", "std_scale"}, {"std"}, ctx)
 
     std = obj["std"]
     if not isinstance(std, dict):
@@ -116,27 +91,27 @@ def _parse_uncertainty(obj, ctx: str) -> UncertaintySpec:
     gen_frac = dem_frac = None
     interval_z = 2.3263
     if "values" in std:
-        _require_keys(std, {"values"}, {"values"}, f"{ctx}.std")
+        require_keys(std, {"values"}, {"values"}, f"{ctx}.std")
         if not isinstance(std["values"], list) or not std["values"]:
             raise ParseError(f"{ctx}.std.values must be a nonempty list")
         std_values = tuple(float(v) for v in std["values"])
         if any(v <= 0.0 or not math.isfinite(v) for v in std_values):
             raise ValidationError(f"{ctx}.std.values must be positive")
     else:
-        _require_keys(std, {"generator_fraction", "demand_fraction", "interval_z"},
-                      {"generator_fraction", "demand_fraction"}, f"{ctx}.std")
-        gen_frac = _num(std, "generator_fraction", f"{ctx}.std")
-        dem_frac = _num(std, "demand_fraction", f"{ctx}.std")
+        require_keys(std, {"generator_fraction", "demand_fraction", "interval_z"},
+                     {"generator_fraction", "demand_fraction"}, f"{ctx}.std")
+        gen_frac = get_num(std, "generator_fraction", f"{ctx}.std")
+        dem_frac = get_num(std, "demand_fraction", f"{ctx}.std")
         if gen_frac <= 0.0 or dem_frac <= 0.0:
             raise ValidationError(f"{ctx}.std fractions must be positive")
         if "interval_z" in std:
-            interval_z = _num(std, "interval_z", f"{ctx}.std")
+            interval_z = get_num(std, "interval_z", f"{ctx}.std")
             if interval_z <= 0.0:
                 raise ValidationError(f"{ctx}.std.interval_z must be positive")
 
     std_scale = 1.0
     if "std_scale" in obj:
-        std_scale = _num(obj, "std_scale", ctx)
+        std_scale = get_num(obj, "std_scale", ctx)
         if std_scale <= 0.0:
             raise ValidationError(f"{ctx}.std_scale must be positive")
 
@@ -145,9 +120,9 @@ def _parse_uncertainty(obj, ctx: str) -> UncertaintySpec:
         ectx = f"{ctx}.correlations[{i}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{ectx} must be an object")
-        _require_keys(entry, {"a", "b", "rho"}, {"a", "b", "rho"}, ectx)
+        require_keys(entry, {"a", "b", "rho"}, {"a", "b", "rho"}, ectx)
         a, b = str(entry["a"]), str(entry["b"])
-        rho = _num(entry, "rho", ectx)
+        rho = get_num(entry, "rho", ectx)
         if a == b:
             raise ValidationError(f"{ectx}: correlates {a!r} with itself")
         if not -1.0 < rho < 1.0:
@@ -156,11 +131,11 @@ def _parse_uncertainty(obj, ctx: str) -> UncertaintySpec:
 
     beta = quantile = None
     if "beta" in obj:
-        beta = _num(obj, "beta", ctx)
+        beta = get_num(obj, "beta", ctx)
         if beta < 0.0 or not math.isfinite(beta):
             raise ValidationError(f"{ctx}.beta must be finite and nonnegative")
     if "quantile" in obj:
-        quantile = _num(obj, "quantile", ctx)
+        quantile = get_num(obj, "quantile", ctx)
         if not 0.0 < quantile < 1.0:
             raise ValidationError(
                 f"{ctx}.quantile must lie strictly in (0, 1)")
@@ -176,18 +151,18 @@ def _parse_uncertainty(obj, ctx: str) -> UncertaintySpec:
         if not isinstance(bounds, dict):
             raise ParseError(f"{ctx}.bounds must be an object")
         if "values" in bounds:
-            _require_keys(bounds, {"values"}, {"values"}, f"{ctx}.bounds")
+            require_keys(bounds, {"values"}, {"values"}, f"{ctx}.bounds")
             if not isinstance(bounds["values"], list) or not bounds["values"]:
                 raise ParseError(f"{ctx}.bounds.values must be a nonempty list")
             bound_values = tuple(float(v) for v in bounds["values"])
             if any(v < 0.0 for v in bound_values):
                 raise ValidationError(f"{ctx}.bounds.values must be nonnegative")
         else:
-            _require_keys(bounds, {"generator_fraction", "demand_fraction"},
-                          {"generator_fraction", "demand_fraction"},
-                          f"{ctx}.bounds")
-            bnd_gen = _num(bounds, "generator_fraction", f"{ctx}.bounds")
-            bnd_dem = _num(bounds, "demand_fraction", f"{ctx}.bounds")
+            require_keys(bounds, {"generator_fraction", "demand_fraction"},
+                         {"generator_fraction", "demand_fraction"},
+                         f"{ctx}.bounds")
+            bnd_gen = get_num(bounds, "generator_fraction", f"{ctx}.bounds")
+            bnd_dem = get_num(bounds, "demand_fraction", f"{ctx}.bounds")
             if bnd_gen < 0.0 or bnd_dem < 0.0:
                 raise ValidationError(f"{ctx}.bounds fractions must be nonnegative")
 
@@ -209,7 +184,7 @@ def _parse_uncertainty(obj, ctx: str) -> UncertaintySpec:
 def study_config_from_dict(data: dict, base_dir: Path) -> StudyConfig:
     if not isinstance(data, dict):
         raise ParseError("study file must hold a JSON object")
-    _require_keys(
+    require_keys(
         data,
         {"network", "annualize", "uncertainty", "tolerance", "max_outer",
          "max_inner", "inner_starts", "seed", "simulation", "output_dir"},
@@ -224,23 +199,23 @@ def study_config_from_dict(data: dict, base_dir: Path) -> StudyConfig:
         blk = data["annualize"]
         if not isinstance(blk, dict):
             raise ParseError("study.annualize must be an object")
-        _require_keys(blk, {"return_period_years", "discount_rate"},
-                      {"return_period_years", "discount_rate"}, "study.annualize")
-        annualize = (_num(blk, "return_period_years", "study.annualize"),
-                     _num(blk, "discount_rate", "study.annualize"))
+        require_keys(blk, {"return_period_years", "discount_rate"},
+                     {"return_period_years", "discount_rate"}, "study.annualize")
+        annualize = (get_num(blk, "return_period_years", "study.annualize"),
+                     get_num(blk, "discount_rate", "study.annualize"))
 
     uncertainty = _parse_uncertainty(data["uncertainty"], "study.uncertainty")
 
     tolerance = 1e-6
     if "tolerance" in data:
-        tolerance = _num(data, "tolerance", "study")
+        tolerance = get_num(data, "tolerance", "study")
         if tolerance <= 0.0:
             raise ValidationError("study: tolerance must be positive")
 
     caps = {"max_outer": 50, "max_inner": 100, "inner_starts": 3, "seed": 0}
     for key in list(caps):
         if key in data:
-            caps[key] = _int(data, key, "study")
+            caps[key] = get_int(data, key, "study")
     if caps["max_outer"] < 1 or caps["max_inner"] < 1 or caps["inner_starts"] < 1:
         raise ValidationError("study: iteration caps and starts must be at least 1")
 
@@ -249,12 +224,12 @@ def study_config_from_dict(data: dict, base_dir: Path) -> StudyConfig:
         blk = data["simulation"]
         if not isinstance(blk, dict):
             raise ParseError("study.simulation must be an object")
-        _require_keys(blk, {"samples", "seed"}, {"samples"}, "study.simulation")
-        samples = _int(blk, "samples", "study.simulation")
+        require_keys(blk, {"samples", "seed"}, {"samples"}, "study.simulation")
+        samples = get_int(blk, "samples", "study.simulation")
         if samples < 1:
             raise ValidationError("study.simulation: samples must be at least 1")
         if "seed" in blk:
-            sim_seed = _int(blk, "seed", "study.simulation")
+            sim_seed = get_int(blk, "seed", "study.simulation")
 
     output_dir = None
     if "output_dir" in data:
@@ -272,16 +247,8 @@ def study_config_from_dict(data: dict, base_dir: Path) -> StudyConfig:
 
 
 def load_study_config(path: str | Path) -> StudyConfig:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read study file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"study file {path} is not valid JSON: {exc}") from exc
-    return study_config_from_dict(data, path.resolve().parent)
+    return study_config_from_dict(read_json(path, "study file"),
+                                  Path(path).resolve().parent)
 
 
 def resolve_network_path(cfg: StudyConfig) -> Path:

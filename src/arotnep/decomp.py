@@ -31,8 +31,9 @@ import numpy as np
 from .ellipsoid import EllipsoidalSet
 from .errors import IterationLimit, MasterInfeasible, ValidationError
 from .milp import MILPProblem, solve_milp
-from .network import LINE_CANDIDATE, LINE_EXISTING, Network
-from .opf import ANGLE_BOUND, OPFSolution, clip_uncertain, solve_opf
+from .network import LINE_EXISTING, Network
+from .opf import (ANGLE_BOUND, OPFSolution, clip_uncertain, dispatch_block,
+                  solve_opf)
 from .simplex import LinearProgram
 
 # ---------------------------------------------------------------------------
@@ -163,27 +164,21 @@ def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6,
                             0.0, 0.0, 0.0, 0, 0.0)
 
     lines = list(net.lines)
-    n_line = len(lines)
-    n_bus = len(net.buses)
-    n_gen = len(net.generators)
-    n_dem = len(net.demands)
-    bus_of = net.bus_index
-    w = net.weighting_factor_hours
+    coupled = [ln.status == LINE_EXISTING for ln in lines]
     n_scen = len(scenarios)
 
-    # Columns: candidate binaries, the cost ceiling, then per-scenario blocks
-    # of [g | s | f | theta].
-    block = n_gen + n_dem + n_line + n_bus
+    # Columns: candidate binaries, the cost ceiling, then one dispatch block
+    # [g | s | f | theta] per scenario.
+    blocks = [dispatch_block(net, lines, scen, coupled) for scen in scenarios]
+    n_block = blocks[0][0].size
+    m_eq_block = blocks[0][2].size
+    off_f = len(net.generators) + len(net.demands)
+    off_t = off_f + len(lines)
     off_gamma = n_cand
-    n_var = n_cand + 1 + n_scen * block
-
-    def off(k: int):
-        base = n_cand + 1 + k * block
-        return base, base + n_gen, base + n_gen + n_dem, base + n_gen + n_dem + n_line
+    n_var = n_cand + 1 + n_scen * n_block
 
     c = np.zeros(n_var)
-    for idx, ln in enumerate(candidates):
-        c[idx] = ln.build_cost
+    c[:n_cand] = [ln.build_cost for ln in candidates]
     c[off_gamma] = 1.0
 
     lower = np.full(n_var, -np.inf)
@@ -192,93 +187,63 @@ def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6,
     upper[:n_cand] = 1.0
     lower[off_gamma] = 0.0
 
-    m_eq_block = n_bus + sum(1 for ln in lines if ln.status == LINE_EXISTING) + 1
-    m_eq = n_scen * m_eq_block
     m_ub_block = 4 * n_cand + 1
     chains = _identical_chains(candidates)
     n_prec = sum(len(ch) - 1 for ch in chains)
     m_ub = n_scen * m_ub_block + 1 + n_prec
 
-    a_eq = np.zeros((m_eq, n_var))
-    b_eq = np.zeros(m_eq)
+    a_eq = np.zeros((n_scen * m_eq_block, n_var))
+    b_eq = np.zeros(n_scen * m_eq_block)
     a_ub = np.zeros((m_ub, n_var))
     b_ub = np.zeros(m_ub)
 
     cand_pos = {ln.id: i for i, ln in enumerate(candidates)}
 
-    for k, scen in enumerate(scenarios):
-        cap = scen[:n_gen]
-        load = scen[n_gen:]
-        og, os_, of_, ot = off(k)
+    for k, (cost, blk_eq, blk_b, blk_lo, blk_up) in enumerate(blocks):
+        col = n_cand + 1 + k * n_block
+        cols = slice(col, col + n_block)
         req = k * m_eq_block
         rub = k * m_ub_block
+        a_eq[req:req + m_eq_block, cols] = blk_eq
+        b_eq[req:req + m_eq_block] = blk_b
+        lower[cols] = blk_lo
+        upper[cols] = blk_up
 
-        for i in range(n_gen):
-            lower[og + i] = 0.0
-            upper[og + i] = cap[i]
-        for j in range(n_dem):
-            lower[os_ + j] = 0.0
-            upper[os_ + j] = load[j]
+        of_ = col + off_f
+        ot = col + off_t
         for li, ln in enumerate(lines):
-            lower[of_ + li] = -ln.capacity_mw
-            upper[of_ + li] = ln.capacity_mw
-        lower[ot:ot + n_bus] = -ANGLE_BOUND
-        upper[ot:ot + n_bus] = ANGLE_BOUND
-
-        # Bus balance with demand pinned at the scenario load:
-        # g + s + inflow - outflow = load.
-        for i, g in enumerate(net.generators):
-            a_eq[req + bus_of[g.bus], og + i] = 1.0
-        for j, dm in enumerate(net.demands):
-            a_eq[req + bus_of[dm.bus], os_ + j] = 1.0
-            b_eq[req + bus_of[dm.bus]] += load[j]
-        for li, ln in enumerate(lines):
-            a_eq[req + bus_of[ln.to_bus], of_ + li] = 1.0
-            a_eq[req + bus_of[ln.from_bus], of_ + li] = -1.0
-
-        row = req + n_bus
-        for li, ln in enumerate(lines):
+            if coupled[li]:
+                continue
             gamma_l = net.base_mva * ln.susceptance
-            t_from = ot + bus_of[ln.from_bus]
-            t_to = ot + bus_of[ln.to_bus]
-            if ln.status == LINE_EXISTING:
-                a_eq[row, of_ + li] = 1.0
-                a_eq[row, t_from] = -gamma_l
-                a_eq[row, t_to] = gamma_l
-                row += 1
-            else:
-                ci = cand_pos[ln.id]
-                big_m = gamma_l * 2.0 * ANGLE_BOUND
-                r0 = rub + 4 * ci
-                # |f - gamma dtheta| <= M (1 - x)
-                a_ub[r0, of_ + li] = 1.0
-                a_ub[r0, t_from] = -gamma_l
-                a_ub[r0, t_to] = gamma_l
-                a_ub[r0, ci] = big_m
-                b_ub[r0] = big_m
-                a_ub[r0 + 1, of_ + li] = -1.0
-                a_ub[r0 + 1, t_from] = gamma_l
-                a_ub[r0 + 1, t_to] = -gamma_l
-                a_ub[r0 + 1, ci] = big_m
-                b_ub[r0 + 1] = big_m
-                # |f| <= capacity x
-                a_ub[r0 + 2, of_ + li] = 1.0
-                a_ub[r0 + 2, ci] = -ln.capacity_mw
-                a_ub[r0 + 3, of_ + li] = -1.0
-                a_ub[r0 + 3, ci] = -ln.capacity_mw
-        a_eq[row, ot + bus_of[net.reference_bus]] = 1.0
+            t_from = ot + net.bus_index[ln.from_bus]
+            t_to = ot + net.bus_index[ln.to_bus]
+            ci = cand_pos[ln.id]
+            big_m = gamma_l * 2.0 * ANGLE_BOUND
+            r0 = rub + 4 * ci
+            # |f - gamma dtheta| <= M (1 - x)
+            a_ub[r0, of_ + li] = 1.0
+            a_ub[r0, t_from] = -gamma_l
+            a_ub[r0, t_to] = gamma_l
+            a_ub[r0, ci] = big_m
+            b_ub[r0] = big_m
+            a_ub[r0 + 1, of_ + li] = -1.0
+            a_ub[r0 + 1, t_from] = gamma_l
+            a_ub[r0 + 1, t_to] = -gamma_l
+            a_ub[r0 + 1, ci] = big_m
+            b_ub[r0 + 1] = big_m
+            # |f| <= capacity x
+            a_ub[r0 + 2, of_ + li] = 1.0
+            a_ub[r0 + 2, ci] = -ln.capacity_mw
+            a_ub[r0 + 3, of_ + li] = -1.0
+            a_ub[r0 + 3, ci] = -ln.capacity_mw
 
         # Operating cost of this scenario must stay below the ceiling.
         cut = rub + 4 * n_cand
-        for i, g in enumerate(net.generators):
-            a_ub[cut, og + i] = w * g.marginal_cost
-        for j, dm in enumerate(net.demands):
-            a_ub[cut, os_ + j] = w * dm.shed_cost
+        a_ub[cut, cols] = cost
         a_ub[cut, off_gamma] = -1.0
 
     row = n_scen * m_ub_block
-    for idx, ln in enumerate(candidates):
-        a_ub[row, idx] = ln.build_cost
+    a_ub[row, :n_cand] = c[:n_cand]
     b_ub[row] = net.budget
     row += 1
     for chain in chains:

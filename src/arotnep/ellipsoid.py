@@ -151,7 +151,10 @@ class EllipsoidalSet:
             raise ValidationError("covariance must be symmetric")
         self.covariance = 0.5 * (cov + cov.T)
         self.chol = cholesky_lower(self.covariance)
-        self._precision = np.linalg.inv(self.covariance)
+        # From the factor: inverting a near-singular covariance directly
+        # loses the digits the boundary solve's KKT check needs.
+        chol_inv = np.linalg.inv(self.chol)
+        self._precision = chol_inv.T @ chol_inv
 
         radius = float(radius)
         if radius < 0.0 or not np.isfinite(radius):

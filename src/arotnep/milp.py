@@ -59,7 +59,6 @@ class MILPSolution:
     best_bound: float = np.nan
     gap: float = np.nan
     nodes: int = 0
-    lp_solution: LPSolution | None = None
 
 
 @dataclass(order=True)
@@ -173,8 +172,7 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
     gap = max(0.0, incumbent_val - final_bound)
     return MILPSolution(status=STATUS_OPTIMAL, x=incumbent.x.copy(),
                         objective=incumbent.objective,
-                        best_bound=sign * final_bound, gap=gap, nodes=nodes,
-                        lp_solution=incumbent)
+                        best_bound=sign * final_bound, gap=gap, nodes=nodes)
 
 
 def _polish_incumbent(lp: LinearProgram, binary: np.ndarray,

@@ -119,23 +119,23 @@ class Network:
 # parsing
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], ctx: str) -> None:
+def require_keys(obj: dict, allowed: set[str], required: set[str], ctx: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
-        raise ParseError(f"{ctx}: unknown key(s) {sorted(unknown)}")
+        raise ParseError(f"{ctx}: unknown keys {sorted(unknown)}")
     missing = required - set(obj)
     if missing:
-        raise ParseError(f"{ctx}: missing key(s) {sorted(missing)}")
+        raise ParseError(f"{ctx}: missing keys {sorted(missing)}")
 
 
-def _get_num(obj: dict, key: str, ctx: str) -> float:
+def get_num(obj: dict, key: str, ctx: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ParseError(f"{ctx}: {key} must be a number, got {v!r}")
     return float(v)
 
 
-def _get_int(obj: dict, key: str, ctx: str) -> int:
+def get_int(obj: dict, key: str, ctx: str) -> int:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ParseError(f"{ctx}: {key} must be an integer, got {v!r}")
@@ -168,8 +168,8 @@ def network_from_dict(data: dict) -> Network:
                    "weighting_factor_hours", "max_parallel_lines", "buses",
                    "lines", "generators", "demands"}
     top_required = top_allowed - {"currency"}
-    _require_keys(data, top_allowed, top_required, "network")
-    version = _get_int(data, "schema_version", "network")
+    require_keys(data, top_allowed, top_required, "network")
+    version = get_int(data, "schema_version", "network")
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version}, expected {SCHEMA_VERSION}")
 
@@ -182,7 +182,7 @@ def network_from_dict(data: dict) -> Network:
         ctx = f"buses[{i}]"
         if not isinstance(entry, dict):
             raise ParseError(f"{ctx}: expected an object")
-        _require_keys(entry, {"id", "reference"}, {"id"}, ctx)
+        require_keys(entry, {"id", "reference"}, {"id"}, ctx)
         ref = entry.get("reference", False)
         if not isinstance(ref, bool):
             raise ParseError(f"{ctx}: reference must be true or false")
@@ -195,7 +195,7 @@ def network_from_dict(data: dict) -> Network:
             raise ParseError(f"{ctx}: expected an object")
         allowed = {"id", "from_bus", "to_bus", "susceptance", "capacity_mw",
                    "status", "build_cost"}
-        _require_keys(entry, allowed, allowed - {"build_cost"}, ctx)
+        require_keys(entry, allowed, allowed - {"build_cost"}, ctx)
         status = _get_str(entry, "status", ctx)
         if status not in (LINE_EXISTING, LINE_CANDIDATE):
             raise ParseError(f"{ctx}: status must be "
@@ -204,10 +204,10 @@ def network_from_dict(data: dict) -> Network:
             id=_get_id(entry, ctx),
             from_bus=str(entry["from_bus"]),
             to_bus=str(entry["to_bus"]),
-            susceptance=_get_num(entry, "susceptance", ctx),
-            capacity_mw=_get_num(entry, "capacity_mw", ctx),
+            susceptance=get_num(entry, "susceptance", ctx),
+            capacity_mw=get_num(entry, "capacity_mw", ctx),
             status=status,
-            build_cost=_get_num(entry, "build_cost", ctx) if "build_cost" in entry else 0.0,
+            build_cost=get_num(entry, "build_cost", ctx) if "build_cost" in entry else 0.0,
         ))
 
     generators = []
@@ -216,12 +216,12 @@ def network_from_dict(data: dict) -> Network:
         if not isinstance(entry, dict):
             raise ParseError(f"{ctx}: expected an object")
         allowed = {"id", "bus", "capacity_mw", "marginal_cost"}
-        _require_keys(entry, allowed, allowed, ctx)
+        require_keys(entry, allowed, allowed, ctx)
         generators.append(Generator(
             id=_get_id(entry, ctx),
             bus=str(entry["bus"]),
-            capacity_mw=_get_num(entry, "capacity_mw", ctx),
-            marginal_cost=_get_num(entry, "marginal_cost", ctx),
+            capacity_mw=get_num(entry, "capacity_mw", ctx),
+            marginal_cost=get_num(entry, "marginal_cost", ctx),
         ))
 
     demands = []
@@ -230,22 +230,22 @@ def network_from_dict(data: dict) -> Network:
         if not isinstance(entry, dict):
             raise ParseError(f"{ctx}: expected an object")
         allowed = {"id", "bus", "load_mw", "bid_price", "shed_cost"}
-        _require_keys(entry, allowed, allowed, ctx)
+        require_keys(entry, allowed, allowed, ctx)
         demands.append(Demand(
             id=_get_id(entry, ctx),
             bus=str(entry["bus"]),
-            load_mw=_get_num(entry, "load_mw", ctx),
-            bid_price=_get_num(entry, "bid_price", ctx),
-            shed_cost=_get_num(entry, "shed_cost", ctx),
+            load_mw=get_num(entry, "load_mw", ctx),
+            bid_price=get_num(entry, "bid_price", ctx),
+            shed_cost=get_num(entry, "shed_cost", ctx),
         ))
 
     net = Network(
         name=_get_str(data, "name", "network"),
         currency=_get_str(data, "currency", "network") if "currency" in data else "",
-        base_mva=_get_num(data, "base_mva", "network"),
-        budget=_get_num(data, "budget", "network"),
-        weighting_factor_hours=_get_num(data, "weighting_factor_hours", "network"),
-        max_parallel_lines=_get_int(data, "max_parallel_lines", "network"),
+        base_mva=get_num(data, "base_mva", "network"),
+        budget=get_num(data, "budget", "network"),
+        weighting_factor_hours=get_num(data, "weighting_factor_hours", "network"),
+        max_parallel_lines=get_int(data, "max_parallel_lines", "network"),
         buses=tuple(buses),
         lines=tuple(lines),
         generators=tuple(generators),
@@ -351,18 +351,25 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
+def read_json(path: str | Path, what: str):
+    """Parsed JSON of the file at ``path``; ``what`` names the file in errors.
+
+    An unreadable file raises :class:`ParseError` caused by the
+    :class:`OSError`, so callers can tell I/O failures from bad content.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_network(path: str | Path) -> Network:
     """Read, parse and validate a network file."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read network file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"network file {path} is not valid JSON: {exc}") from exc
-    return network_from_dict(data)
+    return network_from_dict(read_json(path, "network file"))
 
 
 def save_network(net: Network, path: str | Path) -> None:

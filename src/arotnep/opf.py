@@ -3,16 +3,20 @@
 For a fixed topology (existing lines plus any built candidates) and a fixed
 realization of the uncertain parameters — available generator capacities and
 demand loads — this module dispatches generation, flows and voltage angles
-to minimize weighted operating cost. Every demand may be shed at its shed
-cost, so the dispatch problem is feasible for any topology and any
-realization, including isolated buses; it is also bounded, because all
-variables live in finite boxes once the demand pins are substituted.
+to minimize weighted generation plus shedding cost. Every demand may be
+shed at its shed cost, so the dispatch problem is feasible for any topology
+and any realization, including isolated buses; it is also bounded, because
+every variable lives in a finite box.
 
-The solution carries the gradient of the optimal cost with respect to the
-uncertain parameters, assembled from LP duals: for a capacity it is the
-negative multiplier of the generator limit, for a load it is the balance
-price at the demand pin minus the multiplier of the shed limit. That
-gradient is what the worst-case search feeds to the uncertainty set.
+:func:`dispatch_block` writes that model once, for this module and for the
+scenario blocks of the investment master. The uncertain parameters appear
+only as upper bounds (a capacity bounds its generator, a load its shed) and
+in the bus-balance right-hand side (each load), never in the matrix. The
+gradient of the optimal cost with respect to them is therefore read off the
+LP duals: for a capacity it is the reduced cost of its generator when negative
+(zero otherwise); for a load it is the balance price of its bus plus the
+reduced cost of its shed when negative. That gradient is what the
+worst-case search feeds to the uncertainty set.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ class OPFSolution:
 
     objective: float
     generation: np.ndarray
-    served: np.ndarray  # delivered load: pinned demand minus shed
+    served: np.ndarray  # delivered load: load minus shed
     shed: np.ndarray
     flow: np.ndarray
     flow_line_ids: tuple[str, ...]
@@ -67,6 +71,65 @@ def active_lines(net: Network, built) -> list[Line]:
             if ln.status == LINE_EXISTING or ln.id in built]
 
 
+def dispatch_block(net: Network, lines: list[Line], d: np.ndarray,
+                   coupled: list[bool]) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     np.ndarray, np.ndarray]:
+    """DC dispatch of one realization ``d`` over ``lines``, as
+    ``(cost, a_eq, b_eq, lower, upper)``.
+
+    Columns are ``[g | s | f | theta]``: generation, shed, line flows and
+    bus angles.  Rows are the balance of every bus
+    (``g + s + inflow - outflow = load``), the angle coupling of each line
+    whose ``coupled`` flag is set, and the reference angle.  Capacities and
+    loads enter only as the upper bounds of ``g`` and ``s`` and as the
+    balance right-hand side, so the matrix depends on the lines alone.
+    """
+    n_gen = len(net.generators)
+    n_dem = len(net.demands)
+    n_line = len(lines)
+    n_bus = len(net.buses)
+    bus_of = net.bus_index
+    off_s = n_gen
+    off_f = off_s + n_dem
+    off_t = off_f + n_line
+    n_var = off_t + n_bus
+
+    w = net.weighting_factor_hours
+    cost = np.zeros(n_var)
+    cost[:n_gen] = [w * g.marginal_cost for g in net.generators]
+    cost[off_s:off_f] = [w * dm.shed_cost for dm in net.demands]
+
+    lower = np.zeros(n_var)
+    upper = np.empty(n_var)
+    upper[:n_gen] = d[:n_gen]
+    upper[off_s:off_f] = d[n_gen:]
+    for k, ln in enumerate(lines):
+        lower[off_f + k] = -ln.capacity_mw
+        upper[off_f + k] = ln.capacity_mw
+    lower[off_t:] = -ANGLE_BOUND
+    upper[off_t:] = ANGLE_BOUND
+
+    coupled_lines = [k for k, flag in enumerate(coupled) if flag]
+    a_eq = np.zeros((n_bus + len(coupled_lines) + 1, n_var))
+    b_eq = np.zeros(a_eq.shape[0])
+    for i, g in enumerate(net.generators):
+        a_eq[bus_of[g.bus], i] = 1.0
+    for j, dm in enumerate(net.demands):
+        a_eq[bus_of[dm.bus], off_s + j] = 1.0
+        b_eq[bus_of[dm.bus]] += d[n_gen + j]
+    for k, ln in enumerate(lines):
+        a_eq[bus_of[ln.to_bus], off_f + k] = 1.0
+        a_eq[bus_of[ln.from_bus], off_f + k] = -1.0
+    for row, k in enumerate(coupled_lines, start=n_bus):
+        ln = lines[k]
+        gamma = net.base_mva * ln.susceptance
+        a_eq[row, off_f + k] = 1.0
+        a_eq[row, off_t + bus_of[ln.from_bus]] = -gamma
+        a_eq[row, off_t + bus_of[ln.to_bus]] = gamma
+    a_eq[-1, off_t + bus_of[net.reference_bus]] = 1.0
+    return cost, a_eq, b_eq, lower, upper
+
+
 def solve_opf(net: Network, d: np.ndarray | None = None,
               built=frozenset()) -> OPFSolution:
     """Minimum-cost dispatch; raises :class:`InfeasibleOperation` only if the
@@ -81,99 +144,31 @@ def solve_opf(net: Network, d: np.ndarray | None = None,
     d, clipped = clip_uncertain(d)
 
     n_gen = len(net.generators)
-    n_dem = len(net.demands)
-    cap = d[:n_gen]
-    load = d[n_gen:]
-
     lines = active_lines(net, built)
-    n_line = len(lines)
-    n_bus = len(net.buses)
-    bus_of = net.bus_index
+    off_f = n_gen + len(net.demands)
+    off_t = off_f + len(lines)
 
-    # Variable layout: [g | p | s | f | theta].
-    off_g = 0
-    off_p = n_gen
-    off_s = off_p + n_dem
-    off_f = off_s + n_dem
-    off_t = off_f + n_line
-    n_var = off_t + n_bus
-
-    w = net.weighting_factor_hours
-    c = np.zeros(n_var)
-    c[off_g:off_g + n_gen] = [w * g.marginal_cost for g in net.generators]
-    c[off_s:off_s + n_dem] = [w * dm.shed_cost for dm in net.demands]
-
-    lower = np.full(n_var, -np.inf)
-    upper = np.full(n_var, np.inf)
-    lower[off_g:off_g + n_gen] = 0.0
-    lower[off_s:off_s + n_dem] = 0.0
-    for k, ln in enumerate(lines):
-        lower[off_f + k] = -ln.capacity_mw
-        upper[off_f + k] = ln.capacity_mw
-    lower[off_t:] = -ANGLE_BOUND
-    upper[off_t:] = ANGLE_BOUND
-
-    # Equality rows: balance per bus, coupling per line, reference angle,
-    # one demand pin per demand.
-    m_eq = n_bus + n_line + 1 + n_dem
-    a_eq = np.zeros((m_eq, n_var))
-    b_eq = np.zeros(m_eq)
-    row_balance = 0
-    row_coupling = n_bus
-    row_reference = n_bus + n_line
-    row_pin = row_reference + 1
-
-    for i, g in enumerate(net.generators):
-        a_eq[row_balance + bus_of[g.bus], off_g + i] = 1.0
-    for j, dm in enumerate(net.demands):
-        a_eq[row_balance + bus_of[dm.bus], off_p + j] = -1.0
-        a_eq[row_balance + bus_of[dm.bus], off_s + j] = 1.0
-    for k, ln in enumerate(lines):
-        a_eq[row_balance + bus_of[ln.to_bus], off_f + k] = 1.0
-        a_eq[row_balance + bus_of[ln.from_bus], off_f + k] = -1.0
-        gamma = net.base_mva * ln.susceptance
-        a_eq[row_coupling + k, off_f + k] = 1.0
-        a_eq[row_coupling + k, off_t + bus_of[ln.from_bus]] = -gamma
-        a_eq[row_coupling + k, off_t + bus_of[ln.to_bus]] = gamma
-    a_eq[row_reference, off_t + bus_of[net.reference_bus]] = 1.0
-    for j in range(n_dem):
-        a_eq[row_pin + j, off_p + j] = 1.0
-        b_eq[row_pin + j] = load[j]
-
-    # Inequality rows: generator capacity, shed limit.
-    m_ub = n_gen + n_dem
-    a_ub = np.zeros((m_ub, n_var))
-    b_ub = np.zeros(m_ub)
-    row_gcap = 0
-    row_scap = n_gen
-    for i in range(n_gen):
-        a_ub[row_gcap + i, off_g + i] = 1.0
-        b_ub[row_gcap + i] = cap[i]
-    for j in range(n_dem):
-        a_ub[row_scap + j, off_s + j] = 1.0
-        b_ub[row_scap + j] = load[j]
-
-    lp = LinearProgram(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-                       lower=lower, upper=upper)
-    sol = solve_lp(lp)
+    cost, a_eq, b_eq, lower, upper = dispatch_block(net, lines, d, [True] * len(lines))
+    sol = solve_lp(LinearProgram(cost, a_eq=a_eq, b_eq=b_eq,
+                                 lower=lower, upper=upper))
     if sol.status != "optimal":
         raise InfeasibleOperation(
             f"dispatch LP ended {sol.status}; network data violates the "
             "shedding feasibility invariant")
 
-    eta = np.empty(net.n_uncertain)
-    eta[:n_gen] = -sol.duals_ub[row_gcap:row_gcap + n_gen]
-    eta[n_gen:] = (sol.duals_eq[row_pin:row_pin + n_dem]
-                   - sol.duals_ub[row_scap:row_scap + n_dem])
+    # A capacity is the upper bound of its generator; a load is the upper
+    # bound of its shed and the balance right-hand side of its bus.
+    eta = np.minimum(sol.reduced_costs[:off_f], 0.0)
+    eta[n_gen:] += sol.duals_eq[[net.bus_index[dm.bus] for dm in net.demands]]
 
     x = sol.x
-    shed = x[off_s:off_s + n_dem].copy()
+    shed = x[n_gen:off_f].copy()
     return OPFSolution(
         objective=sol.objective,
-        generation=x[off_g:off_g + n_gen].copy(),
-        served=x[off_p:off_p + n_dem] - shed,
+        generation=x[:n_gen].copy(),
+        served=d[n_gen:] - shed,
         shed=shed,
-        flow=x[off_f:off_f + n_line].copy(),
+        flow=x[off_f:off_t].copy(),
         flow_line_ids=tuple(ln.id for ln in lines),
         angle=x[off_t:].copy(),
         eta=eta,

@@ -167,22 +167,54 @@ def test_flow_angle_coupling(garver):
         assert abs(f) <= ln.capacity_mw + 1e-6
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_gradient_matches_finite_differences(garver, seed, dispatch_lps):
-    rng = np.random.default_rng(7000 + seed)
+PAPER_PLAN = {"C2-6a", "C2-6b", "C2-6c", "C3-5a", "C3-5b", "C4-6a", "C4-6b"}
+
+
+def gradient_point(garver, case):
+    """Realization and plan of one gradient check: a seeded interior point,
+    or a bound-fixed or degenerate point under the paper's plan."""
     nominal = garver.nominal_uncertain()
-    # Generic interior point: capacities a bit below nominal, loads a bit up.
-    d = nominal * np.concatenate([rng.uniform(0.85, 0.97, 3),
-                                  rng.uniform(1.02, 1.12, 5)])
-    built = {"C2-6a", "C4-6a"} if seed % 2 else frozenset()
+    if isinstance(case, int):
+        rng = np.random.default_rng(7000 + case)
+        # Generic interior point: capacities a bit below nominal, loads a bit up.
+        d = nominal * np.concatenate([rng.uniform(0.85, 0.97, 3),
+                                      rng.uniform(1.02, 1.12, 5)])
+        return d, ({"C2-6a", "C4-6a"} if case % 2 else frozenset())
+    d = nominal.copy()
+    if case == "zero_capacity":
+        d[1] = 0.0
+    elif case == "zero_load":
+        d[4] = 0.0
+    else:  # capacity_equals_demand: 760 MW of each, nothing shed
+        d[:3] = [150.0, 310.0, 300.0]
+    return d, PAPER_PLAN
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 3, "zero_capacity", "zero_load",
+                                  "capacity_equals_demand"])
+def test_gradient_matches_finite_differences(garver, case, dispatch_lps):
+    d, built = gradient_point(garver, case)
     sol = solve_opf(garver, d=d, built=built)
     h = 1e-3
+
+    def cost(i, step):
+        moved = d.copy()
+        moved[i] += step
+        return solve_opf(garver, d=moved, built=built).objective
+
     for i in range(d.size):
-        dp = d.copy()
-        dm = d.copy()
-        dp[i] += h
-        dm[i] -= h
-        fd = (solve_opf(garver, d=dp, built=built).objective
-              - solve_opf(garver, d=dm, built=built).objective) / (2.0 * h)
-        assert sol.eta[i] == pytest.approx(fd, abs=5e-5 * (1.0 + abs(fd)))
+        right = (cost(i, h) - sol.objective) / h
+        left = (sol.objective - cost(i, -h)) / h
+        if case == "capacity_equals_demand":
+            # Every coordinate sits on a corner of the convex cost, where
+            # the gradient must be a subgradient.
+            tol = 5e-5 * (1.0 + abs(left) + abs(right))
+            assert left + tol < right
+            assert left - tol <= sol.eta[i] <= right + tol
+        elif d[i] == 0.0:
+            # Clipping flattens the cost below zero: only the right side counts.
+            assert sol.eta[i] == pytest.approx(right, abs=5e-5 * (1.0 + abs(right)))
+        else:
+            fd = 0.5 * (left + right)
+            assert sol.eta[i] == pytest.approx(fd, abs=5e-5 * (1.0 + abs(fd)))
     assert kkt_ok(*dispatch_lps[0])

@@ -6,6 +6,13 @@ Dantzig pricing with a switch to Bland's rule once a degeneracy counter
 trips, and a bounded dual simplex used to warm-start from a dual-feasible
 basis after bound changes (the branch-and-bound layer relies on this).
 
+Basic slacks and artificials are signed unit columns, so a refactorization
+inverts only the structural kernel of the basis (its structural columns on
+the rows no unit column covers) and fills the rest of the inverse in block
+form (a garver6 master basis has 807 rows, its kernel a median of 273).
+Between refactorizations each pivot updates the inverse in place by a
+rank-one product-form step.
+
 Dual sign convention
 --------------------
 For ``sense="min"``:
@@ -24,6 +31,7 @@ variable ``j`` moves off its bound.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +50,8 @@ _FREE = 3
 
 _REFACTOR_PERIOD = 100
 _BLAND_TRIP = 40
+
+_log = logging.getLogger(__name__)
 
 
 def _as_matrix(a, n_cols: int) -> np.ndarray:
@@ -159,8 +169,8 @@ class _Simplex:
         A = np.zeros((m, self.n_total))
         A[: self.m_eq, :n] = lp.a_eq
         A[self.m_eq:, :n] = lp.a_ub
-        for i in range(self.m_ub):
-            A[self.m_eq + i, n + i] = 1.0
+        slack_rows = np.arange(self.m_eq, m)
+        A[slack_rows, n + slack_rows - self.m_eq] = 1.0
         self.A = A
         self.b = np.concatenate([lp.b_eq, lp.b_ub])
 
@@ -172,10 +182,11 @@ class _Simplex:
         self.upper = np.concatenate([lp.upper, np.full(self.n_slack, np.inf), np.full(m, np.inf)])
 
         self.art = np.arange(n + self.n_slack, self.n_total)
+        # Row of each slack and artificial column; -1 marks structural ones.
+        self._unit_row = np.concatenate([np.full(n, -1), slack_rows, np.arange(m)])
         self.basis = np.zeros(m, dtype=np.int64)
         self.stat = np.full(self.n_total, _AT_LOWER, dtype=np.int8)
         self.x = np.zeros(self.n_total)
-        self.binv = np.eye(m)
         self.iterations = 0
         bscale = float(np.max(np.abs(self.b))) if m else 0.0
         self.tol_p = 1e-9 * (1.0 + bscale)
@@ -183,11 +194,35 @@ class _Simplex:
     # -- linear algebra helpers -------------------------------------------------
 
     def _refactor(self) -> None:
-        B = self.A[:, self.basis]
+        """Invert the basis through its structural kernel.
+
+        With ``S`` the basis positions of unit columns, ``rows_s`` their
+        rows, ``K`` the structural positions and ``R`` the rows no unit
+        column covers, the basis is block triangular and only the kernel
+        ``A[R, basis[K]]`` needs a dense inverse."""
+        basis = self.basis
+        rows = self._unit_row[basis]
+        unit = rows >= 0
+        S = unit.nonzero()[0]
+        K = (~unit).nonzero()[0]
+        rows_s = rows[S]
+        covered = np.zeros(self.m, dtype=bool)
+        covered[rows_s] = True
+        R = (~covered).nonzero()[0]
+        sign = self.A[rows_s, basis[S]]
+        # |R| > |K| exactly when two unit columns share a row.
+        if R.size != K.size or not sign.all():
+            raise NumericalError("singular basis during refactorization")
+        cols_k = basis[K]
         try:
-            self.binv = np.linalg.inv(B)
+            minv = np.linalg.inv(self.A[R[:, None], cols_k])
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular basis during refactorization") from exc
+        binv = np.zeros((self.m, self.m))
+        binv[K[:, None], R] = minv
+        binv[S[:, None], R] = (self.A[rows_s[:, None], cols_k] @ minv) / -sign[:, None]
+        binv[S, rows_s] = 1.0 / sign
+        self.binv = binv
         self._recompute_basic_values()
 
     def _recompute_basic_values(self) -> None:
@@ -197,10 +232,9 @@ class _Simplex:
         self.x[self.basis] = self.binv @ resid
 
     def _update_binv(self, w: np.ndarray, k: int) -> None:
-        piv = w[k]
-        self.binv[k, :] /= piv
-        other = np.delete(np.arange(self.m), k)
-        self.binv[other, :] -= np.outer(w[other], self.binv[k, :])
+        row = self.binv[k] / w[k]
+        self.binv -= np.outer(w, row)
+        self.binv[k] = row
 
     def _duals(self, c: np.ndarray) -> np.ndarray:
         return self.binv.T @ c[self.basis]
@@ -539,7 +573,8 @@ def solve_lp_warm(lp: LinearProgram, state: BasisState,
             return sx.extract(status), None
         sx._refactor()
         return sx.extract(STATUS_OPTIMAL), sx.basis_state()
-    except NumericalError:
+    except NumericalError as exc:
+        _log.debug("warm start fell back to a cold solve: %s", exc)
         sol = solve_lp(lp, max_iter)
         return sol, None
 

@@ -205,7 +205,10 @@ def ellipsoid_box_linear_max(eta, mean, cov, radius, lower, upper,
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     n = mean.size
-    precision = np.linalg.inv(np.asarray(cov, dtype=float))
+    # From the inverse Cholesky factor: inverting a near-singular covariance
+    # directly loses the digits these checks need.
+    linv = np.linalg.inv(np.linalg.cholesky(np.asarray(cov, dtype=float)))
+    precision = linv.T @ linv
     r2 = radius**2
     box_tol = tol * (1.0 + float(np.max(np.abs(mean))))
 
@@ -277,10 +280,10 @@ def ellipsoid_box_dual_max(eta, mean, cov, radius, lower, upper) -> float:
 
     eta = np.asarray(eta, dtype=float)
     mean = np.asarray(mean, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    precision = np.linalg.inv(cov)
-    R = np.linalg.cholesky(precision).T  # precision = R' R
-    target = np.linalg.solve(R.T, eta)
+    L = np.linalg.cholesky(np.asarray(cov, dtype=float))
+    R = np.linalg.inv(L)  # precision = R' R
+    precision = R.T @ R
+    target = L.T @ eta
     bounds = (np.asarray(lower, dtype=float) - mean, np.asarray(upper, dtype=float) - mean)
     r2 = float(radius) ** 2
 

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from arotnep import decomp as dc
+from arotnep.config import build_uncertainty, load_configured_network, load_study_config
+from arotnep.datasets import study_path
 from arotnep.decomp import (
     InnerResult,
     MasterResult,
@@ -21,6 +23,7 @@ from arotnep.decomp import (
 )
 from arotnep.ellipsoid import EllipsoidalSet
 from arotnep.errors import IterationLimit, ValidationError
+from arotnep.milp import solve_milp
 from arotnep.network import (
     LINE_CANDIDATE,
     LINE_EXISTING,
@@ -264,6 +267,59 @@ def test_master_builds_first_of_identical_candidates():
     res = solve_master(net, [net.nominal_uncertain()])
     assert res.x == {"C1-2a": 1, "C1-2b": 0}
     assert res.investment == pytest.approx(10.0)
+
+
+def highs_master(problem, exclude=None):
+    """HiGHS optimum of a recorded master MILP, optionally with a no-good
+    cut that forbids the binary assignment ``exclude``."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    lp = problem.lp
+    rows = [LinearConstraint(lp.a_eq, lp.b_eq, lp.b_eq),
+            LinearConstraint(lp.a_ub, -np.inf, lp.b_ub)]
+    if exclude is not None:
+        cut = np.zeros(lp.n_vars)
+        cut[problem.binary] = np.where(exclude == 1, -1.0, 1.0)
+        rows.append(LinearConstraint(cut, 1.0 - float(np.sum(exclude)), np.inf))
+    integrality = np.zeros(lp.n_vars)
+    integrality[problem.binary] = 1
+    return milp(lp.objective, constraints=rows, integrality=integrality,
+                bounds=Bounds(lp.lower, lp.upper), options={"mip_rel_gap": 1e-10})
+
+
+@pytest.mark.parametrize("n_scen", [1, 2, 3])
+def test_master_matches_highs_on_garver_study(n_scen, monkeypatch):
+    pytest.importorskip("scipy")
+    cfg = load_study_config(study_path("garver6_study"))
+    net = load_configured_network(cfg)
+    es = build_uncertainty(cfg, net)
+    # Scenarios from a short ascent of the no-build plan from seeded starts.
+    rng = np.random.default_rng(cfg.seed)
+    scenarios = []
+    for _ in range(n_scen):
+        z = rng.standard_normal(es.dim)
+        start = es.pull_inside(es.map_z(z / np.linalg.norm(z) * es.radius))
+        scenarios.append(inner_solve(net, es, start=start, max_iter=4).worst_point)
+
+    seen = []
+
+    def recording(problem, **kwargs):
+        seen.append(problem)
+        return solve_milp(problem, **kwargs)
+
+    monkeypatch.setattr(dc, "solve_milp", recording)
+    res = solve_master(net, scenarios)
+    (problem,) = seen
+
+    ref = highs_master(problem)
+    assert ref.status == 0
+    assert res.objective == pytest.approx(ref.fun, rel=1e-6)
+    xbin = np.round(ref.x[problem.binary]).astype(int)
+    runner_up = highs_master(problem, exclude=xbin)
+    if runner_up.status == 0 and runner_up.fun <= ref.fun * (1.0 + 1e-6):
+        return  # another plan ties; the built set is not determined
+    built = frozenset(ln.id for ln, x in zip(net.candidate_lines, xbin) if x == 1)
+    assert res.built == built
 
 
 def test_master_scenario_size_mismatch_rejected(twobus):

@@ -1,13 +1,17 @@
 """LP solver tests: pinned micro-cases, vertex-enumeration oracle comparisons,
 finite-difference dual checks, warm starts, and KKT residual properties."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arotnep.errors import ValidationError
+from arotnep.errors import NumericalError, ValidationError
 from arotnep.simplex import (
+    BasisState,
     LinearProgram,
+    _Simplex,
     check_kkt,
     solve_lp,
     solve_lp_warm,
@@ -233,3 +237,95 @@ def test_property_optimal_beats_interior_point(seed, n, m_ub):
     assert sol.objective <= float(c @ x0) + 1e-9
     rep = check_kkt(lp, sol)
     assert rep.max_residual <= 1e-7 * (1.0 + abs(sol.objective))
+
+
+def mixed_basis_simplex(rng, n, m_eq, m_ub, n_unit):
+    """A random LP's working state with a basis of ``n_unit`` slacks and
+    signed artificials on distinct rows, filled up with structural columns."""
+    lp = LinearProgram(rng.normal(size=n), a_eq=rng.normal(size=(m_eq, n)),
+                       b_eq=rng.normal(size=m_eq), a_ub=rng.normal(size=(m_ub, n)),
+                       b_ub=rng.normal(size=m_ub))
+    sx = _Simplex(lp)
+    sx.A[np.arange(sx.m), sx.art] = rng.choice([-1.0, 1.0], size=sx.m)
+    rows = rng.permutation(sx.m)[:n_unit]
+    unit = [sx.n + r - m_eq if r >= m_eq and rng.random() < 0.5 else int(sx.art[r])
+            for r in rows]
+    structural = rng.permutation(n)[:sx.m - n_unit]
+    sx.basis = rng.permutation(np.concatenate([unit, structural]).astype(np.int64))
+    return sx
+
+
+# (n, m_eq, m_ub, unit columns in the basis)
+BASIS_SHAPES = [(12, 4, 5, 4), (12, 0, 7, 3), (12, 6, 0, 2), (5, 0, 0, 0),
+                (9, 3, 4, 7), (9, 3, 4, 0), (30, 10, 15, 20)]
+
+
+@pytest.mark.parametrize("shape", BASIS_SHAPES)
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_refactor_inverts_mixed_bases(shape, seed):
+    rng = np.random.default_rng(5000 + seed)
+    sx = mixed_basis_simplex(rng, *shape)
+    sx._refactor()
+    resid = sx.binv @ sx.A[:, sx.basis] - np.eye(sx.m)
+    assert np.max(np.abs(resid), initial=0.0) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_in_place_update_matches_row_deleting_update(seed):
+    rng = np.random.default_rng(5100 + seed)
+    sx = mixed_basis_simplex(rng, 14, 4, 6, 5)
+    sx._refactor()
+    for q in rng.permutation(np.setdiff1d(np.arange(sx.n), sx.basis))[:4]:
+        w = sx.binv @ sx.A[:, q]
+        k = int(np.argmax(np.abs(w)))
+        old = sx.binv.copy()
+        old[k, :] /= w[k]
+        other = np.delete(np.arange(sx.m), k)
+        old[other, :] -= np.outer(w[other], old[k, :])
+        sx._update_binv(w, k)
+        sx.basis[k] = q
+        assert np.array_equal(sx.binv, old)
+
+
+def test_kernel_refactor_rejects_singular_kernel():
+    rng = np.random.default_rng(5200)
+    sx = mixed_basis_simplex(rng, 10, 3, 4, 3)
+    # A structural column that vanishes off the unit columns' rows lies in
+    # their span, so the basis is singular although the column is not zero.
+    uncovered = np.ones(sx.m, dtype=bool)
+    uncovered[sx._unit_row[sx.basis[sx.basis >= sx.n]]] = False
+    sx.A[uncovered, sx.basis[np.argmax(sx.basis < sx.n)]] = 0.0
+    with pytest.raises(NumericalError, match="singular"):
+        sx._refactor()
+
+
+def test_kernel_refactor_rejects_unit_columns_on_one_row():
+    rng = np.random.default_rng(5300)
+    sx = mixed_basis_simplex(rng, 10, 3, 4, 0)
+    row = sx.m_eq + 1
+    sx.basis[:2] = [sx.n + 1, sx.art[row]]  # slack and artificial of one row
+    with pytest.raises(NumericalError, match="singular"):
+        sx._refactor()
+
+
+def test_kernel_refactor_rejects_unsigned_artificial():
+    rng = np.random.default_rng(5400)
+    sx = mixed_basis_simplex(rng, 10, 3, 4, 0)
+    # A warm start's artificial columns are zero until phase 1 signs them.
+    sx.A[0, sx.art[0]] = 0.0
+    sx.basis[0] = sx.art[0]
+    with pytest.raises(NumericalError, match="singular"):
+        sx._refactor()
+
+
+def test_warm_start_fallback_is_logged(caplog):
+    lp = LinearProgram([1.0, 2.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+    stale = BasisState(np.zeros(3, dtype=np.int64), np.zeros(7, dtype=np.int8))
+    with caplog.at_level(logging.DEBUG, logger="arotnep.simplex"):
+        warm, state = solve_lp_warm(lp, stale)
+    fallbacks = [r for r in caplog.records if r.name == "arotnep.simplex"]
+    assert len(fallbacks) == 1
+    assert "mismatched dimensions" in fallbacks[0].getMessage()
+    assert state is None
+    assert warm.status == "optimal"
+    assert warm.objective == solve_lp(lp).objective == pytest.approx(1.0)

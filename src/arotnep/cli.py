@@ -190,7 +190,7 @@ def cmd_validate(config_path: str, plan_path: str) -> int:
 
     out = _output_dir(cfg)
     report_path = out / "validation.csv"
-    emit_report(report, report_path, fmt="csv")
+    emit_report(report, report_path)
 
     print(f"samples: {report.n_samples} (seed {report.seed})")
     print(f"planned quantile: {report.q_star:.6f} at radius {radius:g} "

@@ -2,11 +2,13 @@
 
 Node selection is best-bound (ties broken by creation order), branching picks
 the most fractional binary (ties broken by lowest variable index), and child
-LPs are warm-started from the parent basis through the dual simplex. The
-search terminates when the absolute gap between incumbent and best bound
-falls to ``gap_tol``; nodes are pruned only when they provably cannot improve
-the incumbent by more than a much smaller margin, so optimality never hinges
-on the looser reporting gap.
+LPs are warm-started from the parent basis through the dual simplex (a warm
+start that falls back to a cold solve still returns its basis, so every open
+node carries one). The search terminates when the absolute gap between
+incumbent and best bound falls to ``gap_tol``; nodes are pruned only when they
+provably cannot improve the incumbent by more than a much smaller margin, so
+optimality never hinges on the looser reporting gap. The incumbent is
+reported as found, without a re-solve.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class _Node:
     lower: np.ndarray = field(compare=False)
     upper: np.ndarray = field(compare=False)
     sol: LPSolution = field(compare=False)
-    state: BasisState | None = field(compare=False)
+    state: BasisState = field(compare=False)
 
 
 def _fractional(x: np.ndarray, binary: np.ndarray) -> tuple[int | None, float]:
@@ -91,6 +93,8 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
                node_limit: int = 100_000) -> MILPSolution:
     """Branch and bound over the binary variables of ``problem``.
 
+    The answer is the incumbent node's LP solution as found: its binaries
+    are integral to within ``_INT_TOL`` (1e-6), so callers round them.
     Raises :class:`NodeLimitExceeded` when ``node_limit`` LP nodes were
     solved without proving optimality.
     """
@@ -148,11 +152,7 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
             lo = node.lower.copy()
             up = node.upper.copy()
             lo[j] = up[j] = fix
-            child_lp = _with_bounds(lp, lo, up)
-            if node.state is not None:
-                child_sol, child_state = solve_lp_warm(child_lp, node.state)
-            else:
-                child_sol, child_state = solve_lp_with_state(child_lp)
+            child_sol, child_state = solve_lp_warm(_with_bounds(lp, lo, up), node.state)
             nodes += 1
             if child_sol.status != STATUS_OPTIMAL:
                 continue
@@ -165,30 +165,7 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
         return MILPSolution(status=STATUS_INFEASIBLE, nodes=nodes)
     if final_bound is None:
         final_bound = incumbent_val
-
-    polished = _polish_incumbent(lp, binary, incumbent)
-    if polished is not None:
-        incumbent = polished
     gap = max(0.0, incumbent_val - final_bound)
     return MILPSolution(status=STATUS_OPTIMAL, x=incumbent.x.copy(),
                         objective=incumbent.objective,
                         best_bound=sign * final_bound, gap=gap, nodes=nodes)
-
-
-def _polish_incumbent(lp: LinearProgram, binary: np.ndarray,
-                      incumbent: LPSolution) -> LPSolution | None:
-    """Re-solve with binaries pinned to their rounded values so the returned
-    point is an exact vertex with exact duals."""
-    if binary.size == 0:
-        return incumbent
-    lo = lp.lower.copy()
-    up = lp.upper.copy()
-    fixed = np.round(incumbent.x[binary])
-    lo[binary] = up[binary] = fixed
-    sol = solve_lp_with_state(_with_bounds(lp, lo, up))[0]
-    if sol.status != STATUS_OPTIMAL:
-        return None
-    sign = 1.0 if lp.sense == "min" else -1.0
-    if sign * sol.objective > sign * incumbent.objective + 1e-6:
-        return None
-    return sol

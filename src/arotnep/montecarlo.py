@@ -7,9 +7,9 @@ report carries the empirical non-exceedance probability, summary statistics
 with a fitted normal, and a histogram (Freedman-Diaconis bin width, at
 least 10 bins whenever the costs spread at all).
 
-Reports can be written as CSV (one row per histogram bin plus a summary
-block; see :func:`emit_report` for the row layout) or as plain text, and
-the CSV round-trips through :func:`read_report_csv`.
+Reports are written as CSV (one row per histogram bin plus a summary
+block; see :func:`emit_report` for the row layout), which round-trips
+through :func:`read_report_csv`.
 """
 
 from __future__ import annotations
@@ -146,32 +146,13 @@ _SUMMARY_FLOAT_KEYS = ("q_star", "radius", "non_exceedance", "mean", "std")
 _SUMMARY_INT_KEYS = ("n_samples", "seed", "clipped_samples", "failed_samples")
 
 
-def emit_report(report: SimulationReport, path, fmt: str = "csv") -> None:
-    """Write the report as ``csv`` or ``text``.
+def emit_report(report: SimulationReport, path) -> None:
+    """Write the report as CSV.
 
-    CSV rows are ``summary,<key>,<value>`` followed by
+    Rows are ``summary,<key>,<value>`` followed by
     ``bin,<lower>,<upper>,<count>``, one row per histogram bin; floats are
     written with full precision so reparsing reproduces them exactly.
     """
-    if fmt == "csv":
-        _emit_csv(report, path)
-    elif fmt == "text":
-        _emit_text(report, path)
-    else:
-        raise ValidationError(f"unknown report format {fmt!r}")
-
-
-def _summary_items(report: SimulationReport):
-    for key in _SUMMARY_INT_KEYS:
-        yield key, str(getattr(report, key))
-    for key in _SUMMARY_FLOAT_KEYS:
-        yield key, repr(float(getattr(report, key)))
-    for q in sorted(report.quantiles):
-        yield f"quantile_{q}", repr(float(report.quantiles[q]))
-    yield "built", " ".join(report.built)
-
-
-def _emit_csv(report: SimulationReport, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for key, value in _summary_items(report):
@@ -182,18 +163,14 @@ def _emit_csv(report: SimulationReport, path) -> None:
                              int(report.bin_counts[i])])
 
 
-def _emit_text(report: SimulationReport, path) -> None:
-    lines = ["simulation report", "-----------------"]
-    for key, value in _summary_items(report):
-        lines.append(f"{key}: {value}")
-    lines.append("")
-    lines.append("histogram (lower, upper, count):")
-    for i in range(report.bin_counts.size):
-        lines.append(f"  [{report.bin_edges[i]:.6g}, "
-                     f"{report.bin_edges[i + 1]:.6g}]  "
-                     f"{int(report.bin_counts[i])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _summary_items(report: SimulationReport):
+    for key in _SUMMARY_INT_KEYS:
+        yield key, str(getattr(report, key))
+    for key in _SUMMARY_FLOAT_KEYS:
+        yield key, repr(float(getattr(report, key)))
+    for q in sorted(report.quantiles):
+        yield f"quantile_{q}", repr(float(report.quantiles[q]))
+    yield "built", " ".join(report.built)
 
 
 def read_report_csv(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:

@@ -5,13 +5,18 @@ general bounds, an explicit basis inverse with periodic refactorization,
 Dantzig pricing with a switch to Bland's rule once a degeneracy counter
 trips, and a bounded dual simplex used to warm-start from a dual-feasible
 basis after bound changes (the branch-and-bound layer relies on this).
+Cold and warm solves end alike: a primal polish that refactors and
+re-prices until the optimum is clean, then extraction.
 
 Basic slacks and artificials are signed unit columns, so a refactorization
 inverts only the structural kernel of the basis (its structural columns on
 the rows no unit column covers) and fills the rest of the inverse in block
 form (a garver6 master basis has 807 rows, its kernel a median of 273).
-Between refactorizations each pivot updates the inverse in place by a
-rank-one product-form step.
+Primal, dual and phase-1 pivots all go through one basis change,
+:meth:`_Simplex._pivot`: it moves the basic values along the entering
+column, puts the leaving variable on its bound and updates the inverse in
+place by a rank-one product-form step. Only a refactorization recomputes
+the basic values from scratch.
 
 Dual sign convention
 --------------------
@@ -113,9 +118,12 @@ class LinearProgram:
             raise DimensionMismatch("bound vectors must match the variable count")
         if not np.all(np.isfinite(self.objective)):
             raise ValidationError("nonfinite objective coefficient")
-        if np.any(self.lower > self.upper):
-            j = int(np.argmax(self.lower > self.upper))
-            raise ValidationError(f"lower bound exceeds upper bound for variable {j}")
+        for what, bad in (("NaN bound", np.isnan(self.lower) | np.isnan(self.upper)),
+                          ("lower bound of +inf", self.lower == np.inf),
+                          ("upper bound of -inf", self.upper == -np.inf),
+                          ("lower bound exceeds upper bound", self.lower > self.upper)):
+            if np.any(bad):
+                raise ValidationError(f"{what} for variable {int(np.argmax(bad))}")
 
 
 @dataclass
@@ -239,14 +247,24 @@ class _Simplex:
     def _duals(self, c: np.ndarray) -> np.ndarray:
         return self.binv.T @ c[self.basis]
 
-    # -- primal simplex ---------------------------------------------------------
+    def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
+        return c - self.A.T @ self._duals(c)
 
-    def _nonbasic_value(self, j: int) -> float:
-        if self.stat[j] == _AT_LOWER:
-            return self.lower[j]
-        if self.stat[j] == _AT_UPPER:
-            return self.upper[j]
-        return 0.0
+    def _pivot(self, k: int, q: int, w: np.ndarray, delta: float, at_upper: bool) -> None:
+        """Basis change: ``x_q`` enters at position ``k`` after moving by
+        ``delta`` (the basic values move by ``-w * delta``, ``w`` being the
+        entering column in the current basis) and ``basis[k]`` leaves at its
+        upper or lower bound."""
+        self.x[self.basis] -= w * delta
+        self.x[q] += delta
+        p = int(self.basis[k])
+        self.x[p] = self.upper[p] if at_upper else self.lower[p]
+        self.stat[p] = _AT_UPPER if at_upper else _AT_LOWER
+        self.stat[q] = _BASIC
+        self.basis[k] = q
+        self._update_binv(w, k)
+
+    # -- primal simplex ---------------------------------------------------------
 
     def _choose_entering(self, r: np.ndarray, tol_d: float, bland: bool):
         span_ok = self.upper - self.lower > 0.0
@@ -300,15 +318,7 @@ class _Simplex:
         if not np.isfinite(t_best):
             return "unbounded", np.inf
 
-        val0 = self._nonbasic_value(q)
-        self.x[self.basis] = xb - weff * t_best
-        p = int(self.basis[k_best])
-        self.x[p] = self.upper[p] if hit_upper else self.lower[p]
-        self.stat[p] = _AT_UPPER if hit_upper else _AT_LOWER
-        self.x[q] = val0 + direction * t_best
-        self.stat[q] = _BASIC
-        self.basis[k_best] = q
-        self._update_binv(w, k_best)
+        self._pivot(k_best, q, w, direction * t_best, hit_upper)
         return "pivot", t_best
 
     def optimize(self, c: np.ndarray, max_iter: int) -> str:
@@ -319,9 +329,7 @@ class _Simplex:
         while True:
             if self.iterations >= max_iter:
                 raise NumericalError(f"simplex iteration cap ({max_iter}) exceeded")
-            y = self._duals(c)
-            r = c - self.A.T @ y
-            q, direction = self._choose_entering(r, tol_d, bland)
+            q, direction = self._choose_entering(self._reduced_costs(c), tol_d, bland)
             if q is None:
                 return STATUS_OPTIMAL
             outcome, step = self._primal_step(q, direction)
@@ -400,13 +408,7 @@ class _Simplex:
             j = int(np.argmax(np.abs(row)))
             if abs(row[j]) <= 1e-7:
                 continue  # redundant row; artificial stays basic at zero
-            w = self.binv @ self.A[:, j]
-            self.stat[p] = _AT_LOWER
-            self.x[p] = 0.0
-            self.stat[j] = _BASIC
-            self.basis[k] = j
-            self._update_binv(w, k)
-        self._recompute_basic_values()
+            self._pivot(k, j, self.binv @ self.A[:, j], 0.0, False)
 
     # -- dual simplex (warm starts) --------------------------------------------
 
@@ -430,8 +432,7 @@ class _Simplex:
                 return STATUS_OPTIMAL
             below = low_viol[k] >= up_viol[k]
 
-            y = self._duals(c)
-            r = c - self.A.T @ y
+            r = self._reduced_costs(c)
             alpha = self.binv[k, :] @ self.A
             span_ok = self.upper - self.lower > 0.0
             if below:
@@ -453,13 +454,8 @@ class _Simplex:
                 q = int(sub[np.argmax(np.abs(alpha[sub]))])
 
             w = self.binv @ self.A[:, q]
-            p = int(self.basis[k])
-            self.x[p] = self.lower[p] if below else self.upper[p]
-            self.stat[p] = _AT_LOWER if below else _AT_UPPER
-            self.stat[q] = _BASIC
-            self.basis[k] = q
-            self._update_binv(w, k)
-            self._recompute_basic_values()
+            bound = lb[k] if below else ub[k]
+            self._pivot(k, q, w, (xb[k] - bound) / w[k], not below)
             self.iterations += 1
             since_refactor += 1
             if abs(r[q]) <= tol_d:
@@ -503,18 +499,26 @@ class _Simplex:
 
 
 def _polish(sx: _Simplex, max_iter: int) -> str:
-    """Optimize, then refactor and re-price until the optimum is clean."""
+    """Optimize primally from a primal-feasible basis, then refactor and
+    re-price until the optimum is clean."""
     for _ in range(3):
         status = sx.optimize(sx.c, max_iter)
         if status != STATUS_OPTIMAL:
             return status
         sx._refactor()
-        y = sx._duals(sx.c)
-        r = sx.c - sx.A.T @ y
-        q, _ = sx._choose_entering(r, 1e-9 * (1.0 + float(np.max(np.abs(sx.c)))), False)
+        tol_d = 1e-9 * (1.0 + float(np.max(np.abs(sx.c))))
+        q, _ = sx._choose_entering(sx._reduced_costs(sx.c), tol_d, False)
         if q is None:
             break
     return STATUS_OPTIMAL
+
+
+def _finish(sx: _Simplex, status: str, max_iter: int) -> tuple[LPSolution, BasisState | None]:
+    """The one ending of cold and warm solves: polish a primal-feasible
+    basis, then report it, with its state when it is optimal."""
+    if status == STATUS_OPTIMAL:
+        status = _polish(sx, max_iter)
+    return sx.extract(status), (sx.basis_state() if status == STATUS_OPTIMAL else None)
 
 
 def solve_lp_with_state(lp: LinearProgram,
@@ -523,11 +527,8 @@ def solve_lp_with_state(lp: LinearProgram,
     sx = _Simplex(lp)
     if max_iter is None:
         max_iter = 200 * (sx.m + sx.n) + 2000
-    if not sx.phase1(max_iter):
-        return LPSolution(status=STATUS_INFEASIBLE, iterations=sx.iterations), None
-    status = _polish(sx, max_iter)
-    sol = sx.extract(status)
-    return sol, (sx.basis_state() if status == STATUS_OPTIMAL else None)
+    status = STATUS_OPTIMAL if sx.phase1(max_iter) else STATUS_INFEASIBLE
+    return _finish(sx, status, max_iter)
 
 
 def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
@@ -543,7 +544,8 @@ def solve_lp_warm(lp: LinearProgram, state: BasisState,
     """Resolve ``lp`` starting from a basis of a bound-modified relative.
 
     The basis must come from an LP with identical rows and objective; only
-    variable bounds may differ. Falls back to a cold solve on any trouble.
+    variable bounds may differ. Falls back to a cold solve, basis state
+    included, on any numerical trouble.
     """
     sx = _Simplex(lp)
     if max_iter is None:
@@ -562,21 +564,12 @@ def solve_lp_warm(lp: LinearProgram, state: BasisState,
             raise NumericalError("nonbasic variable lost its finite bound")
         sx.x[nonbasic] = vals[nonbasic]
         sx._refactor()
-        status = sx.dual_optimize(sx.c, max_iter)
-        if status == STATUS_OPTIMAL:
-            # The dual method restores primal feasibility; polish primally in
-            # case bound changes also disturbed reduced-cost signs.
-            status = sx.optimize(sx.c, max_iter)
-        if status == STATUS_INFEASIBLE:
-            return LPSolution(status=STATUS_INFEASIBLE, iterations=sx.iterations), None
-        if status != STATUS_OPTIMAL:
-            return sx.extract(status), None
-        sx._refactor()
-        return sx.extract(STATUS_OPTIMAL), sx.basis_state()
+        # The dual method restores primal feasibility; the polish then
+        # repairs reduced-cost signs that the bound changes disturbed.
+        return _finish(sx, sx.dual_optimize(sx.c, max_iter), max_iter)
     except NumericalError as exc:
         _log.debug("warm start fell back to a cold solve: %s", exc)
-        sol = solve_lp(lp, max_iter)
-        return sol, None
+        return solve_lp_with_state(lp, max_iter)
 
 
 def check_kkt(lp: LinearProgram, sol: LPSolution) -> KKTReport:

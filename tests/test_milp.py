@@ -93,6 +93,14 @@ def test_matches_enumeration_on_random_mixed_instances(seed):
         assert np.max(np.abs(binaries - np.round(binaries))) <= 1e-9
         sgn = 1.0 if sense == "min" else -1.0
         assert sgn * sol.best_bound <= sgn * sol.objective + 1e-6
+        # The incumbent is reported as found: re-solving with its binaries
+        # pinned to their rounded values gives the same objective.
+        lo, up = lower.copy(), upper.copy()
+        lo[:k] = up[:k] = np.round(binaries)
+        pinned = solve_lp(LinearProgram(c, a_ub=a_ub, b_ub=b_ub, lower=lo, upper=up,
+                                        sense=sense))
+        assert pinned.status == "optimal"
+        assert sol.objective == pytest.approx(pinned.objective, rel=1e-9)
 
 
 def test_bound_and_gap_reporting():

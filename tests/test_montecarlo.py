@@ -195,7 +195,7 @@ def sample_report(onebus, n=150, seed=6):
 def test_csv_round_trip(onebus, tmp_path):
     report = sample_report(onebus)
     path = tmp_path / "report.csv"
-    emit_report(report, path, fmt="csv")
+    emit_report(report, path)
     summary, edges, counts = read_report_csv(path)
     np.testing.assert_array_equal(counts, report.bin_counts)
     np.testing.assert_array_equal(edges, report.bin_edges)
@@ -204,22 +204,6 @@ def test_csv_round_trip(onebus, tmp_path):
     assert float(summary["q_star"]) == report.q_star
     assert float(summary["mean"]) == report.mean
     assert int(summary["clipped_samples"]) == report.clipped_samples
-
-
-def test_text_report_mentions_key_figures(onebus, tmp_path):
-    report = sample_report(onebus)
-    path = tmp_path / "report.txt"
-    emit_report(report, path, fmt="text")
-    body = path.read_text()
-    assert "non_exceedance" in body
-    assert "histogram" in body
-    assert str(report.n_samples) in body
-
-
-def test_unknown_format_rejected(onebus, tmp_path):
-    report = sample_report(onebus)
-    with pytest.raises(ValidationError):
-        emit_report(report, tmp_path / "r.bin", fmt="parquet")
 
 
 def test_malformed_report_rejected(tmp_path):

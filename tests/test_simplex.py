@@ -148,37 +148,54 @@ def test_warm_start_matches_cold_after_bound_fix(seed):
     lp = random_box_lp(rng, n, 5)
     base = solve_lp(lp)
     assert base.status == "optimal"
-    # Re-solve through the module's warm path after pinning one variable,
-    # mimicking a branch-and-bound bound change.
-    from arotnep.simplex import _Simplex
-
+    # Re-solve through the module's warm path after pinning one to three
+    # variables, mimicking a branch-and-bound bound change.
     sx = _Simplex(lp)
     assert sx.phase1(10_000)
     sx.optimize(sx.c, 10_000)
     state = sx.basis_state()
-    j = int(rng.integers(0, n))
-    pin = float(rng.uniform(lp.lower[j], lp.upper[j]))
+    pinned = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
     lower2 = lp.lower.copy()
     upper2 = lp.upper.copy()
-    lower2[j] = upper2[j] = pin
+    lower2[pinned] = upper2[pinned] = rng.uniform(lp.lower[pinned], lp.upper[pinned])
     lp2 = LinearProgram(lp.objective, a_ub=lp.a_ub, b_ub=lp.b_ub,
                         lower=lower2, upper=upper2)
     warm, new_state = solve_lp_warm(lp2, state)
     cold = solve_lp(lp2)
-    # Pinning a coordinate can make the instance infeasible; the warm path
+    # Pinning coordinates can make the instance infeasible; the warm path
     # must agree with the cold solve either way.
     assert warm.status == cold.status
     if cold.status == "optimal":
         assert warm.objective == pytest.approx(cold.objective, abs=1e-7)
-        if new_state is not None:
-            assert new_state.basis.size == state.basis.size
+        assert check_kkt(lp2, warm).max_residual <= 1e-7
+        assert new_state.basis.size == state.basis.size
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dual_pivots_keep_the_rows_satisfied(seed):
+    # The dual simplex moves the basic values along each entering column
+    # instead of recomputing them, so they must still solve A x = b.
+    rng = np.random.default_rng(3000 + seed)
+    lp = random_box_lp(rng, 6, 5)
+    sx = _Simplex(lp)
+    assert sx.phase1(10_000)
+    sx.optimize(sx.c, 10_000)
+    pivots = sx.iterations
+    pinned = rng.choice(6, size=3, replace=False)
+    sx.lower[pinned] = sx.upper[pinned] = sx.x[pinned] = rng.uniform(
+        lp.lower[pinned], lp.upper[pinned])
+    sx._recompute_basic_values()
+    status = sx.dual_optimize(sx.c, 10_000)
+    assert sx.iterations > pivots
+    assert np.max(np.abs(sx.A @ sx.x - sx.b)) <= 1e-9
+    if status == "optimal":
+        assert np.all(sx.x >= sx.lower - sx.tol_p)
+        assert np.all(sx.x <= sx.upper + sx.tol_p)
 
 
 def test_warm_start_detects_infeasible_bound_fix():
     lp = LinearProgram([1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0],
                        lower=[0.0, 0.0], upper=[1.0, 1.0])
-    from arotnep.simplex import _Simplex
-
     sx = _Simplex(lp)
     assert sx.phase1(1000)
     sx.optimize(sx.c, 1000)
@@ -205,9 +222,18 @@ def test_check_kkt_requires_optimal():
         check_kkt(lp, sol)
 
 
-def test_validate_rejects_crossed_bounds():
-    lp = LinearProgram([1.0], lower=[2.0], upper=[1.0])
-    with pytest.raises(ValidationError):
+@pytest.mark.parametrize("lower, upper", [
+    ([0.0, 2.0], [1.0, 1.0]),
+    ([np.inf, 0.0], [np.inf, 1.0]),
+    ([0.0, -np.inf], [1.0, -np.inf]),
+    ([0.0, np.nan], [1.0, 1.0]),
+    ([0.0, 0.0], [1.0, np.nan]),
+], ids=["crossed", "lower-plus-inf", "upper-minus-inf", "nan-lower", "nan-upper"])
+def test_validate_rejects_crossed_bounds(lower, upper):
+    lp = LinearProgram([1.0, 1.0], a_ub=[[-1.0, -1.0]], b_ub=[-1.0],
+                       lower=lower, upper=upper)
+    bad = 0 if np.isinf(lower[0]) else 1
+    with pytest.raises(ValidationError, match=f"variable {bad}"):
         solve_lp(lp)
 
 
@@ -323,9 +349,15 @@ def test_warm_start_fallback_is_logged(caplog):
     stale = BasisState(np.zeros(3, dtype=np.int64), np.zeros(7, dtype=np.int8))
     with caplog.at_level(logging.DEBUG, logger="arotnep.simplex"):
         warm, state = solve_lp_warm(lp, stale)
-    fallbacks = [r for r in caplog.records if r.name == "arotnep.simplex"]
-    assert len(fallbacks) == 1
-    assert "mismatched dimensions" in fallbacks[0].getMessage()
-    assert state is None
-    assert warm.status == "optimal"
-    assert warm.objective == solve_lp(lp).objective == pytest.approx(1.0)
+        fallbacks = [r for r in caplog.records if r.name == "arotnep.simplex"]
+        assert len(fallbacks) == 1
+        assert "mismatched dimensions" in fallbacks[0].getMessage()
+        assert warm.status == "optimal"
+        assert warm.objective == solve_lp(lp).objective == pytest.approx(1.0)
+        # The cold fallback hands back its basis, which warm-starts the same
+        # LP to the same optimum without falling back again.
+        again, _ = solve_lp_warm(lp, state)
+    assert len([r for r in caplog.records if r.name == "arotnep.simplex"]) == 1
+    assert again.status == "optimal"
+    assert again.objective == warm.objective
+    assert np.array_equal(again.x, warm.x)

@@ -43,7 +43,7 @@ from .decomp import PlanResult, outer_solve
 from .ellipsoid import phi
 from .errors import ArotnepError, ParseError, ValidationError
 from .montecarlo import SimulationStudy, emit_report, run_simulation
-from .network import network_hash, read_json
+from .network import get_num, network_hash, read_json
 from .opf import active_lines
 
 EXIT_OK = 0
@@ -104,15 +104,18 @@ def plan_to_dict(cfg: StudyConfig, net_hash: str, radius: float,
 
 
 def read_plan_file(path: str | Path) -> dict:
+    """A written plan, its ``radius`` and ``worst_cost`` checked as numbers."""
     data = read_json(path, "plan file")
+    ctx = f"plan file {path}"
     if not isinstance(data, dict):
-        raise ParseError(f"plan file {path} must hold a JSON object")
+        raise ParseError(f"{ctx} must hold a JSON object")
     for key in ("network_hash", "built", "worst_cost", "radius", "status"):
         if key not in data:
-            raise ParseError(f"plan file {path} lacks required key {key!r}")
+            raise ParseError(f"{ctx} lacks required key {key!r}")
     if not isinstance(data["built"], list):
-        raise ParseError(f"plan file {path}: 'built' must be a list")
-    return data
+        raise ParseError(f"{ctx}: 'built' must be a list")
+    return {**data, "radius": get_num(data, "radius", ctx),
+            "worst_cost": get_num(data, "worst_cost", ctx)}
 
 
 def _write_iteration_log(plan: PlanResult, path: Path) -> None:
@@ -181,11 +184,11 @@ def cmd_validate(config_path: str, plan_path: str) -> int:
     net = load_configured_network(cfg)
     built = frozenset(str(b) for b in plan["built"])
     active_lines(net, built)  # rejects unknown candidate ids early
-    radius = float(plan["radius"])
+    radius = plan["radius"]
     es = build_uncertainty(cfg, net, radius=radius)
     study = SimulationStudy(
         n_samples=cfg.simulation.samples, seed=cfg.simulation.seed,
-        q_star=float(plan["worst_cost"]), radius=radius)
+        q_star=plan["worst_cost"], radius=radius)
     report = run_simulation(net, built, es, study)
 
     out = _output_dir(cfg)
@@ -241,17 +244,16 @@ def cmd_sweep(config_path: str, betas_text: str, repeats: int) -> int:
         except ArotnepError as exc:
             plan, error = None, str(exc)
         if plan is None:
-            rows.append({"beta": beta, "status": "error", "error": error})
+            rows.append({"beta": repr(beta), "status": "error", "error": error})
             worst_exit = max(worst_exit, EXIT_CONFIG)
             print(f"beta {beta:g}: error: {error}")
             continue
         rows.append({
-            "beta": beta, "status": plan.status, "objective": plan.objective,
-            "investment": plan.investment, "worst_cost": plan.worst_cost,
+            "beta": repr(beta), "status": plan.status, "objective": repr(plan.objective),
+            "investment": repr(plan.investment), "worst_cost": repr(plan.worst_cost),
             "outer_iterations": len(plan.iterations),
-            "runtime_mean_s": float(np.mean(runtimes)),
-            "runtime_std_s": float(np.std(runtimes)),
-            "error": "",
+            "runtime_mean_s": f"{np.mean(runtimes):.6f}",
+            "runtime_std_s": f"{np.std(runtimes):.6f}",
         })
         worst_exit = max(worst_exit, _STATUS_EXIT[plan.status])
         print(f"beta {beta:g}: {plan.status}, objective {plan.objective:.6f}, "
@@ -263,19 +265,9 @@ def cmd_sweep(config_path: str, betas_text: str, repeats: int) -> int:
     fields = ["beta", "status", "objective", "investment", "worst_cost",
               "outer_iterations", "runtime_mean_s", "runtime_std_s", "error"]
     with open(sweep_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow([
-                repr(row["beta"]), row["status"],
-                repr(row["objective"]) if "objective" in row else "",
-                repr(row["investment"]) if "investment" in row else "",
-                repr(row["worst_cost"]) if "worst_cost" in row else "",
-                row.get("outer_iterations", ""),
-                f"{row['runtime_mean_s']:.6f}" if "runtime_mean_s" in row else "",
-                f"{row['runtime_std_s']:.6f}" if "runtime_std_s" in row else "",
-                row["error"],
-            ])
+        writer = csv.DictWriter(fh, fields, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
     print(f"wrote {sweep_path}")
     return worst_exit
 

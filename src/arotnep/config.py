@@ -9,12 +9,13 @@ travel with its network.
 
 Exactly one of ``beta`` (the set radius) or ``quantile`` (the target
 non-exceedance probability, mapped through the Gaussian quantile function)
-must be given.
+must be given.  Spreads (``std``) and interval limits (``bounds``) take the
+same two forms: per-parameter ``values``, or a ``generator_fraction`` and a
+``demand_fraction`` of the nominal values.  Every number must be finite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,19 +35,38 @@ class CorrelationEntry:
 
 
 @dataclass(frozen=True)
+class Spread:
+    """Per-parameter ``values``, or one fraction of the nominal value for
+    every generator and one for every demand."""
+
+    values: tuple[float, ...] | None = None
+    generator_fraction: float | None = None
+    demand_fraction: float | None = None
+
+    def expand(self, net: Network, what: str) -> np.ndarray:
+        """One entry per uncertain parameter; ``what`` names the block in errors."""
+        n = net.n_uncertain
+        if self.values is None:
+            n_gen = len(net.generators)
+            frac = np.array([self.generator_fraction] * n_gen
+                            + [self.demand_fraction] * (n - n_gen))
+            return frac * net.nominal_uncertain()
+        if len(self.values) != n:
+            raise ValidationError(
+                f"study.uncertainty.{what}.values has {len(self.values)} "
+                f"entries, network has {n} uncertain parameters")
+        return np.array(self.values)
+
+
+@dataclass(frozen=True)
 class UncertaintySpec:
-    std_values: tuple[float, ...] | None
-    generator_fraction: float | None
-    demand_fraction: float | None
+    std: Spread
     interval_z: float
     std_scale: float
     correlations: tuple[CorrelationEntry, ...]
     beta: float | None
     quantile: float | None
-    bound_values: tuple[float, ...] | None
-    bound_generator_fraction: float | None
-    bound_demand_fraction: float | None
-    bounded: bool
+    bounds: Spread | None
     sign_restricted: bool
 
 
@@ -78,36 +98,43 @@ class StudyConfig:
         return beta_for_quantile(self.uncertainty.quantile)
 
 
+def _parse_spread(obj, ctx: str, positive: bool,
+                  extra: frozenset[str] = frozenset()) -> Spread:
+    """A ``values`` list or a pair of fractions, all positive or all
+    nonnegative; ``extra`` names keys the caller reads next to the fractions."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{ctx} must be an object")
+    if "values" in obj:
+        require_keys(obj, {"values"}, {"values"}, ctx)
+        if not isinstance(obj["values"], list) or not obj["values"]:
+            raise ParseError(f"{ctx}.values must be a nonempty list")
+        entries = {f"values[{i}]": v for i, v in enumerate(obj["values"])}
+        spread = Spread(values=tuple(get_num(entries, key, ctx) for key in entries))
+        nums, what = spread.values, f"{ctx}.values"
+    else:
+        fractions = {"generator_fraction", "demand_fraction"}
+        require_keys(obj, fractions | extra, fractions, ctx)
+        nums = (get_num(obj, "generator_fraction", ctx),
+                get_num(obj, "demand_fraction", ctx))
+        spread, what = Spread(None, *nums), f"{ctx} fractions"
+    if any(v <= 0.0 if positive else v < 0.0 for v in nums):
+        raise ValidationError(
+            f"{what} must be {'positive' if positive else 'nonnegative'}")
+    return spread
+
+
 def _parse_uncertainty(obj, ctx: str) -> UncertaintySpec:
     if not isinstance(obj, dict):
         raise ParseError(f"{ctx} must be an object")
     require_keys(obj, {"std", "correlations", "beta", "quantile", "bounds",
                        "sign_restricted", "std_scale"}, {"std"}, ctx)
 
-    std = obj["std"]
-    if not isinstance(std, dict):
-        raise ParseError(f"{ctx}.std must be an object")
-    std_values = None
-    gen_frac = dem_frac = None
+    std = _parse_spread(obj["std"], f"{ctx}.std", True, frozenset({"interval_z"}))
     interval_z = 2.3263
-    if "values" in std:
-        require_keys(std, {"values"}, {"values"}, f"{ctx}.std")
-        if not isinstance(std["values"], list) or not std["values"]:
-            raise ParseError(f"{ctx}.std.values must be a nonempty list")
-        std_values = tuple(float(v) for v in std["values"])
-        if any(v <= 0.0 or not math.isfinite(v) for v in std_values):
-            raise ValidationError(f"{ctx}.std.values must be positive")
-    else:
-        require_keys(std, {"generator_fraction", "demand_fraction", "interval_z"},
-                     {"generator_fraction", "demand_fraction"}, f"{ctx}.std")
-        gen_frac = get_num(std, "generator_fraction", f"{ctx}.std")
-        dem_frac = get_num(std, "demand_fraction", f"{ctx}.std")
-        if gen_frac <= 0.0 or dem_frac <= 0.0:
-            raise ValidationError(f"{ctx}.std fractions must be positive")
-        if "interval_z" in std:
-            interval_z = get_num(std, "interval_z", f"{ctx}.std")
-            if interval_z <= 0.0:
-                raise ValidationError(f"{ctx}.std.interval_z must be positive")
+    if "interval_z" in obj["std"]:
+        interval_z = get_num(obj["std"], "interval_z", f"{ctx}.std")
+        if interval_z <= 0.0:
+            raise ValidationError(f"{ctx}.std.interval_z must be positive")
 
     std_scale = 1.0
     if "std_scale" in obj:
@@ -132,8 +159,8 @@ def _parse_uncertainty(obj, ctx: str) -> UncertaintySpec:
     beta = quantile = None
     if "beta" in obj:
         beta = get_num(obj, "beta", ctx)
-        if beta < 0.0 or not math.isfinite(beta):
-            raise ValidationError(f"{ctx}.beta must be finite and nonnegative")
+        if beta < 0.0:
+            raise ValidationError(f"{ctx}.beta must be nonnegative")
     if "quantile" in obj:
         quantile = get_num(obj, "quantile", ctx)
         if not 0.0 < quantile < 1.0:
@@ -143,28 +170,9 @@ def _parse_uncertainty(obj, ctx: str) -> UncertaintySpec:
         raise ValidationError(
             f"{ctx}: exactly one of 'beta' or 'quantile' must be given")
 
-    bound_values = None
-    bnd_gen = bnd_dem = None
-    bounded = "bounds" in obj
-    if bounded:
-        bounds = obj["bounds"]
-        if not isinstance(bounds, dict):
-            raise ParseError(f"{ctx}.bounds must be an object")
-        if "values" in bounds:
-            require_keys(bounds, {"values"}, {"values"}, f"{ctx}.bounds")
-            if not isinstance(bounds["values"], list) or not bounds["values"]:
-                raise ParseError(f"{ctx}.bounds.values must be a nonempty list")
-            bound_values = tuple(float(v) for v in bounds["values"])
-            if any(v < 0.0 for v in bound_values):
-                raise ValidationError(f"{ctx}.bounds.values must be nonnegative")
-        else:
-            require_keys(bounds, {"generator_fraction", "demand_fraction"},
-                         {"generator_fraction", "demand_fraction"},
-                         f"{ctx}.bounds")
-            bnd_gen = get_num(bounds, "generator_fraction", f"{ctx}.bounds")
-            bnd_dem = get_num(bounds, "demand_fraction", f"{ctx}.bounds")
-            if bnd_gen < 0.0 or bnd_dem < 0.0:
-                raise ValidationError(f"{ctx}.bounds fractions must be nonnegative")
+    bounds = None
+    if "bounds" in obj:
+        bounds = _parse_spread(obj["bounds"], f"{ctx}.bounds", False)
 
     sign_restricted = True
     if "sign_restricted" in obj:
@@ -173,12 +181,9 @@ def _parse_uncertainty(obj, ctx: str) -> UncertaintySpec:
         sign_restricted = obj["sign_restricted"]
 
     return UncertaintySpec(
-        std_values=std_values, generator_fraction=gen_frac,
-        demand_fraction=dem_frac, interval_z=interval_z, std_scale=std_scale,
+        std=std, interval_z=interval_z, std_scale=std_scale,
         correlations=tuple(correlations), beta=beta, quantile=quantile,
-        bound_values=bound_values, bound_generator_fraction=bnd_gen,
-        bound_demand_fraction=bnd_dem, bounded=bounded,
-        sign_restricted=sign_restricted)
+        bounds=bounds, sign_restricted=sign_restricted)
 
 
 def study_config_from_dict(data: dict, base_dir: Path) -> StudyConfig:
@@ -269,18 +274,10 @@ def build_uncertainty(cfg: StudyConfig, net: Network,
     spec = cfg.uncertainty
     mean = net.nominal_uncertain()
     n = net.n_uncertain
-    n_gen = len(net.generators)
 
-    if spec.std_values is not None:
-        if len(spec.std_values) != n:
-            raise ValidationError(
-                f"study.uncertainty.std.values has {len(spec.std_values)} "
-                f"entries, network has {n} uncertain parameters")
-        std = np.array(spec.std_values)
-    else:
-        frac = np.array([spec.generator_fraction] * n_gen
-                        + [spec.demand_fraction] * (n - n_gen))
-        std = std_from_interval(frac * mean, spec.interval_z)
+    std = spec.std.expand(net, "std")
+    if spec.std.values is None:
+        std = std_from_interval(std, spec.interval_z)
         if np.any(std <= 0.0):
             raise ValidationError(
                 "study.uncertainty: fractional spreads need nonzero nominal "
@@ -297,19 +294,7 @@ def build_uncertainty(cfg: StudyConfig, net: Network,
         i, j = pos[entry.a], pos[entry.b]
         corr[i, j] = corr[j, i] = entry.rho
 
-    half_width = None
-    if spec.bounded:
-        if spec.bound_values is not None:
-            if len(spec.bound_values) != n:
-                raise ValidationError(
-                    f"study.uncertainty.bounds.values has "
-                    f"{len(spec.bound_values)} entries, network has {n}")
-            half_width = np.array(spec.bound_values)
-        else:
-            bfrac = np.array([spec.bound_generator_fraction] * n_gen
-                             + [spec.bound_demand_fraction] * (n - n_gen))
-            half_width = bfrac * mean
-
+    half_width = None if spec.bounds is None else spec.bounds.expand(net, "bounds")
     signs = net.uncertain_signs() if spec.sign_restricted else None
     if radius is None:
         radius = cfg.radius()

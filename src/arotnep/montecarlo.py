@@ -7,9 +7,8 @@ report carries the empirical non-exceedance probability, summary statistics
 with a fitted normal, and a histogram (Freedman-Diaconis bin width, at
 least 10 bins whenever the costs spread at all).
 
-Reports are written as CSV (one row per histogram bin plus a summary
-block; see :func:`emit_report` for the row layout), which round-trips
-through :func:`read_report_csv`.
+Reports are written as CSV: a summary block followed by one row per
+histogram bin (see :func:`emit_report` for the row layout).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ellipsoid import EllipsoidalSet
-from .errors import ArotnepError, ParseError, ValidationError
+from .errors import ArotnepError, ValidationError
 from .network import Network
 from .opf import solve_opf
 
@@ -171,30 +170,3 @@ def _summary_items(report: SimulationReport):
     for q in sorted(report.quantiles):
         yield f"quantile_{q}", repr(float(report.quantiles[q]))
     yield "built", " ".join(report.built)
-
-
-def read_report_csv(path) -> tuple[dict[str, str], np.ndarray, np.ndarray]:
-    """Reparse an emitted CSV report: the summary block as a string map plus
-    the histogram edges and counts."""
-    summary: dict[str, str] = {}
-    lowers: list[float] = []
-    uppers: list[float] = []
-    counts: list[int] = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row:
-                continue
-            if row[0] == "summary" and len(row) == 3:
-                summary[row[1]] = row[2]
-            elif row[0] == "bin" and len(row) == 4:
-                lowers.append(float(row[1]))
-                uppers.append(float(row[2]))
-                counts.append(int(row[3]))
-            else:
-                raise ParseError(f"unrecognized report row: {row!r}")
-    if not counts:
-        raise ParseError("report holds no histogram rows")
-    edges = np.array(lowers + [uppers[-1]])
-    if not np.allclose(edges[1:-1], np.array(uppers[:-1])):
-        raise ParseError("histogram bins are not contiguous")
-    return summary, edges, np.array(counts)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -129,9 +130,10 @@ def require_keys(obj: dict, allowed: set[str], required: set[str], ctx: str) -> 
 
 
 def get_num(obj: dict, key: str, ctx: str) -> float:
+    """``obj[key]`` as a finite float (``json`` reads NaN and Infinity)."""
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"{ctx}: {key} must be a number, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ParseError(f"{ctx}: {key} must be a finite number, got {v!r}")
     return float(v)
 
 
@@ -160,6 +162,19 @@ def _get_id(obj: dict, ctx: str) -> str:
     raise ParseError(f"{ctx}: id must be a non-empty string or integer, got {v!r}")
 
 
+def _objects(data: dict, key: str, allowed: set[str], optional: set[str]):
+    """Yield ``(ctx, entry)`` for each object of the array ``data[key]``,
+    checking the array, each entry's type and each entry's keys."""
+    if not isinstance(data[key], list):
+        raise ParseError(f"network: {key} must be an array")
+    for i, entry in enumerate(data[key]):
+        ctx = f"{key}[{i}]"
+        if not isinstance(entry, dict):
+            raise ParseError(f"{ctx}: expected an object")
+        require_keys(entry, allowed, allowed - optional, ctx)
+        yield ctx, entry
+
+
 def network_from_dict(data: dict) -> Network:
     """Build and validate a :class:`Network` from parsed JSON data."""
     if not isinstance(data, dict):
@@ -173,29 +188,17 @@ def network_from_dict(data: dict) -> Network:
     if version != SCHEMA_VERSION:
         raise ParseError(f"unsupported schema_version {version}, expected {SCHEMA_VERSION}")
 
-    for key in ("buses", "lines", "generators", "demands"):
-        if not isinstance(data[key], list):
-            raise ParseError(f"network: {key} must be an array")
-
     buses = []
-    for i, entry in enumerate(data["buses"]):
-        ctx = f"buses[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{ctx}: expected an object")
-        require_keys(entry, {"id", "reference"}, {"id"}, ctx)
+    for ctx, entry in _objects(data, "buses", {"id", "reference"}, {"reference"}):
         ref = entry.get("reference", False)
         if not isinstance(ref, bool):
             raise ParseError(f"{ctx}: reference must be true or false")
         buses.append(Bus(id=_get_id(entry, ctx), reference=ref))
 
     lines = []
-    for i, entry in enumerate(data["lines"]):
-        ctx = f"lines[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{ctx}: expected an object")
-        allowed = {"id", "from_bus", "to_bus", "susceptance", "capacity_mw",
-                   "status", "build_cost"}
-        require_keys(entry, allowed, allowed - {"build_cost"}, ctx)
+    for ctx, entry in _objects(data, "lines", {"id", "from_bus", "to_bus", "susceptance",
+                                               "capacity_mw", "status", "build_cost"},
+                               {"build_cost"}):
         status = _get_str(entry, "status", ctx)
         if status not in (LINE_EXISTING, LINE_CANDIDATE):
             raise ParseError(f"{ctx}: status must be "
@@ -210,34 +213,20 @@ def network_from_dict(data: dict) -> Network:
             build_cost=get_num(entry, "build_cost", ctx) if "build_cost" in entry else 0.0,
         ))
 
-    generators = []
-    for i, entry in enumerate(data["generators"]):
-        ctx = f"generators[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{ctx}: expected an object")
-        allowed = {"id", "bus", "capacity_mw", "marginal_cost"}
-        require_keys(entry, allowed, allowed, ctx)
-        generators.append(Generator(
-            id=_get_id(entry, ctx),
-            bus=str(entry["bus"]),
-            capacity_mw=get_num(entry, "capacity_mw", ctx),
-            marginal_cost=get_num(entry, "marginal_cost", ctx),
-        ))
+    generators = [
+        Generator(id=_get_id(entry, ctx), bus=str(entry["bus"]),
+                  capacity_mw=get_num(entry, "capacity_mw", ctx),
+                  marginal_cost=get_num(entry, "marginal_cost", ctx))
+        for ctx, entry in _objects(data, "generators",
+                                   {"id", "bus", "capacity_mw", "marginal_cost"}, set())]
 
-    demands = []
-    for i, entry in enumerate(data["demands"]):
-        ctx = f"demands[{i}]"
-        if not isinstance(entry, dict):
-            raise ParseError(f"{ctx}: expected an object")
-        allowed = {"id", "bus", "load_mw", "bid_price", "shed_cost"}
-        require_keys(entry, allowed, allowed, ctx)
-        demands.append(Demand(
-            id=_get_id(entry, ctx),
-            bus=str(entry["bus"]),
-            load_mw=get_num(entry, "load_mw", ctx),
-            bid_price=get_num(entry, "bid_price", ctx),
-            shed_cost=get_num(entry, "shed_cost", ctx),
-        ))
+    demands = [
+        Demand(id=_get_id(entry, ctx), bus=str(entry["bus"]),
+               load_mw=get_num(entry, "load_mw", ctx),
+               bid_price=get_num(entry, "bid_price", ctx),
+               shed_cost=get_num(entry, "shed_cost", ctx))
+        for ctx, entry in _objects(data, "demands",
+                                   {"id", "bus", "load_mw", "bid_price", "shed_cost"}, set())]
 
     net = Network(
         name=_get_str(data, "name", "network"),

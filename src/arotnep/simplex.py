@@ -179,6 +179,11 @@ class _Simplex:
         A[self.m_eq:, :n] = lp.a_ub
         slack_rows = np.arange(self.m_eq, m)
         A[slack_rows, n + slack_rows - self.m_eq] = 1.0
+        # Artificials start as +e_i, so a warm basis that keeps one basic
+        # (a redundant row) stays invertible; phase 1 flips the rows it
+        # starts below their right-hand side.
+        self.art = np.arange(n + self.n_slack, self.n_total)
+        A[np.arange(m), self.art] = 1.0
         self.A = A
         self.b = np.concatenate([lp.b_eq, lp.b_ub])
 
@@ -189,7 +194,6 @@ class _Simplex:
         self.lower = np.concatenate([lp.lower, np.zeros(self.n_slack + m)])
         self.upper = np.concatenate([lp.upper, np.full(self.n_slack, np.inf), np.full(m, np.inf)])
 
-        self.art = np.arange(n + self.n_slack, self.n_total)
         # Row of each slack and artificial column; -1 marks structural ones.
         self._unit_row = np.concatenate([np.full(n, -1), slack_rows, np.arange(m)])
         self.basis = np.zeros(m, dtype=np.int64)
@@ -362,9 +366,6 @@ class _Simplex:
         self.x[:n] = start
         self.stat[:n] = np.where(finite_low, _AT_LOWER, np.where(finite_up, _AT_UPPER, _FREE))
         self.stat[:n][only_up & (start < self.upper[:n])] = _FREE
-        # Fixed-at-zero free vars start FREE; vars started at upper:
-        at_up = np.isfinite(self.upper[:n]) & (start == self.upper[:n]) & ~finite_low
-        self.stat[:n][at_up] = _AT_UPPER
         self.x[n:] = 0.0
         self.stat[n:] = _AT_LOWER
 

@@ -4,6 +4,7 @@ Commands are invoked in-process through ``main(argv)`` so exit codes and
 outputs are observed exactly as a shell would see them.
 """
 
+import csv
 import json
 import shutil
 import subprocess
@@ -17,7 +18,6 @@ from arotnep.cli import main
 from arotnep.config import build_uncertainty, load_study_config
 from arotnep.datasets import dataset_path, study_names, study_path
 from arotnep.errors import IterationLimit, ParseError, ValidationError
-from arotnep.montecarlo import read_report_csv
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -46,7 +46,6 @@ def write_study(tmp_path, doc, name="study.json"):
 
 
 def read_sweep_rows(path):
-    import csv
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
 
@@ -98,6 +97,22 @@ def test_config_rejections(tmp_path):
     with pytest.raises(ValidationError, match="itself"):
         load_study_config(write_study(tmp_path, self_corr, "c.json"))
 
+
+
+@pytest.mark.parametrize("block", ["std", "bounds"])
+@pytest.mark.parametrize("entry", ["abc", [1], True, "40"])
+def test_spread_values_must_be_numbers(tmp_path, block, entry):
+    doc = base_twobus_study()
+    doc["uncertainty"][block]["values"][0] = entry
+    with pytest.raises(ParseError, match=rf"{block}: values\[0\] must be a finite number"):
+        load_study_config(write_study(tmp_path, doc))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_nonfinite_tolerance_rejected(tmp_path, value):
+    doc = base_twobus_study(tolerance=value)
+    with pytest.raises(ParseError, match="tolerance must be a finite number"):
+        load_study_config(write_study(tmp_path, doc))
 
 def test_build_uncertainty_fraction_convention(tmp_path, garver_annual):
     doc = {
@@ -226,11 +241,13 @@ def test_plan_then_validate_calibrates(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "empirical non-exceedance" in out
 
-    summary, edges, counts = read_report_csv(tmp_path / "validation.csv")
+    with open(tmp_path / "validation.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    summary = {r[1]: r[2] for r in rows if r[0] == "summary"}
     prob = float(summary["non_exceedance"])
     assert 0.87 <= prob <= 0.93
     assert int(summary["n_samples"]) == 1000
-    assert int(np.sum(counts)) == 1000
+    assert sum(int(r[3]) for r in rows if r[0] == "bin") == 1000
 
 
 def test_validate_refuses_tampered_plan(tmp_path, monkeypatch, capsys):
@@ -245,6 +262,20 @@ def test_validate_refuses_tampered_plan(tmp_path, monkeypatch, capsys):
     assert rc == 4
     assert "refusing" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("key, value", [("radius", "x"), ("worst_cost", None)])
+def test_validate_rejects_non_numeric_plan_values(tmp_path, capsys, key, value):
+    cfg_path = write_study(tmp_path, base_twobus_study())
+    assert main(["plan", "--config", str(cfg_path)]) == 0
+    plan_path = tmp_path / "out" / "plan.json"
+    doc = json.loads(plan_path.read_text())
+    doc[key] = value
+    plan_path.write_text(json.dumps(doc))
+    rc = main(["validate", "--config", str(cfg_path),
+               "--plan", str(plan_path)])
+    assert rc == 4
+    assert f"{key} must be a finite number" in capsys.readouterr().err
 
 def test_validate_missing_plan_exits_io(tmp_path):
     cfg_path = write_study(tmp_path, base_twobus_study())

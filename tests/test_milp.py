@@ -1,5 +1,7 @@
 """Branch-and-bound tests against exhaustive binary enumeration."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,20 @@ def test_infeasible_binary_system():
     sol = solve_milp(MILPProblem(lp, [0, 1]))
     assert sol.status == "infeasible"
 
+
+
+def test_redundant_row_warm_starts_without_fallback(caplog):
+    # The second equality row is twice the first, so an artificial stays
+    # basic in every node's basis; warm starts must still reuse it.
+    lp = LinearProgram([-5.0, -4.0, -3.0, 0.0],
+                       a_eq=[[2.0, 3.0, 1.0, 1.0], [4.0, 6.0, 2.0, 2.0]],
+                       b_eq=[4.0, 8.0], lower=np.zeros(4), upper=[1.0, 1.0, 1.0, 0.5])
+    with caplog.at_level(logging.DEBUG, logger="arotnep.simplex"):
+        sol = solve_milp(MILPProblem(lp, [0, 1, 2]))
+    assert not [r for r in caplog.records if "fell back" in r.getMessage()]
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(-7.0, abs=1e-9)
+    assert np.allclose(sol.x, [0.0, 1.0, 1.0, 0.0], atol=1e-9)
 
 def test_node_limit_raises():
     rng = np.random.default_rng(5)

@@ -118,6 +118,12 @@ def test_bool_is_not_a_number():
         network_from_dict(doc)
 
 
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_nonfinite_number_rejected(value):
+    with pytest.raises(ParseError, match="budget must be a finite number"):
+        network_from_dict(minimal_dict(budget=value))
+
 def test_integer_ids_are_normalized():
     doc = minimal_dict(buses=[{"id": 1, "reference": True}],
                        lines=[], generators=[], demands=[])

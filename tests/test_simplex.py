@@ -337,7 +337,8 @@ def test_kernel_refactor_rejects_unit_columns_on_one_row():
 def test_kernel_refactor_rejects_unsigned_artificial():
     rng = np.random.default_rng(5400)
     sx = mixed_basis_simplex(rng, 10, 3, 4, 0)
-    # A warm start's artificial columns are zero until phase 1 signs them.
+    # Every artificial column starts as +e_i; the guard still catches a unit
+    # column that has lost the entry on its own row.
     sx.A[0, sx.art[0]] = 0.0
     sx.basis[0] = sx.art[0]
     with pytest.raises(NumericalError, match="singular"):

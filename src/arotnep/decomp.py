@@ -181,11 +181,9 @@ def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6,
     c[:n_cand] = [ln.build_cost for ln in candidates]
     c[off_gamma] = 1.0
 
-    lower = np.full(n_var, -np.inf)
+    lower = np.zeros(n_var)
     upper = np.full(n_var, np.inf)
-    lower[:n_cand] = 0.0
     upper[:n_cand] = 1.0
-    lower[off_gamma] = 0.0
 
     m_ub_block = 4 * n_cand + 1
     chains = _identical_chains(candidates)

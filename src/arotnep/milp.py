@@ -1,4 +1,4 @@
-"""Mixed-binary linear programming by LP-based branch and bound.
+"""Mixed-binary linear minimization by LP-based branch and bound.
 
 Node selection is best-bound (ties broken by creation order), branching picks
 the most fractional binary (ties broken by lowest variable index), and child
@@ -73,20 +73,19 @@ class _Node:
     state: BasisState = field(compare=False)
 
 
-def _fractional(x: np.ndarray, binary: np.ndarray) -> tuple[int | None, float]:
+def _fractional(x: np.ndarray, binary: np.ndarray) -> int | None:
     xb = x[binary]
     frac = np.abs(xb - np.round(xb))
     if frac.size == 0 or float(frac.max()) <= _INT_TOL:
-        return None, 0.0
-    top = float(frac.max())
-    ties = np.flatnonzero(frac >= top - 1e-9)
-    return int(binary[ties[0]]), top
+        return None
+    ties = np.flatnonzero(frac >= float(frac.max()) - 1e-9)
+    return int(binary[ties[0]])
 
 
 def _with_bounds(lp: LinearProgram, lower: np.ndarray, upper: np.ndarray) -> LinearProgram:
     return LinearProgram(lp.objective, a_eq=lp.a_eq, b_eq=lp.b_eq,
                          a_ub=lp.a_ub, b_ub=lp.b_ub,
-                         lower=lower, upper=upper, sense=lp.sense)
+                         lower=lower, upper=upper)
 
 
 def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
@@ -101,7 +100,6 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
     problem.validate()
     lp = problem.lp
     binary = problem.binary
-    sign = 1.0 if lp.sense == "min" else -1.0
 
     lower = lp.lower.copy()
     upper = lp.upper.copy()
@@ -119,13 +117,13 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
                              "a restraining constraint")
 
     incumbent: LPSolution | None = None
-    incumbent_val = np.inf  # internal min orientation
+    incumbent_val = np.inf
     heap: list[_Node] = []
     seq = 0
 
     def push(sol: LPSolution, state, lo, up):
         nonlocal seq
-        heapq.heappush(heap, _Node(sign * sol.objective, seq, lo, up, sol, state))
+        heapq.heappush(heap, _Node(sol.objective, seq, lo, up, sol, state))
         seq += 1
 
     push(root_sol, root_state, lower, upper)
@@ -138,7 +136,7 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
         if incumbent is not None and incumbent_val - node.bound <= gap_tol:
             final_bound = min(node.bound, incumbent_val)
             break
-        j, _ = _fractional(node.sol.x, binary)
+        j = _fractional(node.sol.x, binary)
         if j is None:
             val = node.bound
             if val < incumbent_val:
@@ -156,8 +154,7 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
             nodes += 1
             if child_sol.status != STATUS_OPTIMAL:
                 continue
-            child_bound = sign * child_sol.objective
-            if incumbent is not None and child_bound >= incumbent_val - _PRUNE_SLACK:
+            if incumbent is not None and child_sol.objective >= incumbent_val - _PRUNE_SLACK:
                 continue
             push(child_sol, child_state, lo, up)
 
@@ -168,4 +165,4 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
     gap = max(0.0, incumbent_val - final_bound)
     return MILPSolution(status=STATUS_OPTIMAL, x=incumbent.x.copy(),
                         objective=incumbent.objective,
-                        best_bound=sign * final_bound, gap=gap, nodes=nodes)
+                        best_bound=final_bound, gap=gap, nodes=nodes)

@@ -1,7 +1,12 @@
 """Dense linear programming with a bounded-variable revised simplex method.
 
+The LP layer solves the one problem class the planner poses: minimize
+``c @ x`` over equality rows, ``<=`` rows and bounds ``lower <= x <= upper``
+with every lower bound finite (upper bounds may be ``+inf``). Any other
+input, a non-finite lower bound included, raises :class:`ValidationError`.
+
 The solver is deliberately self-contained: two-phase primal simplex over
-general bounds, an explicit basis inverse with periodic refactorization,
+bounded variables, an explicit basis inverse with periodic refactorization,
 Dantzig pricing with a switch to Bland's rule once a degeneracy counter
 trips, and a bounded dual simplex used to warm-start from a dual-feasible
 basis after bound changes (the branch-and-bound layer relies on this).
@@ -20,24 +25,18 @@ the basic values from scratch.
 
 Dual sign convention
 --------------------
-For ``sense="min"``:
-
 * ``duals_eq[i]``  is the gradient of the optimal objective with respect to
   ``b_eq[i]``.
 * ``duals_ub[i]`` is nonnegative and the gradient with respect to
   ``b_ub[i]`` equals ``-duals_ub[i]``.
-
-For ``sense="max"`` the problem is solved as the minimization of the negated
-objective; ``duals_eq`` is still the gradient of the *reported* objective and
-``duals_ub`` stays nonnegative with gradient ``+duals_ub[i]``.
-``reduced_costs[j]`` is the rate of change of the reported objective when
-variable ``j`` moves off its bound.
+* ``reduced_costs[j]`` is the rate of change of the objective when variable
+  ``j`` moves off its bound.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +50,6 @@ STATUS_UNBOUNDED = "unbounded"
 _BASIC = 0
 _AT_LOWER = 1
 _AT_UPPER = 2
-_FREE = 3
 
 _REFACTOR_PERIOD = 100
 _BLAND_TRIP = 40
@@ -77,8 +75,8 @@ def _as_vector(v, length: int | None = None) -> np.ndarray:
 
 @dataclass
 class LinearProgram:
-    """Standard-form LP: optimize ``c @ x`` over equality rows, ``<=`` rows
-    and variable bounds (``-inf``/``+inf`` allowed in bounds only)."""
+    """Standard-form LP: minimize ``c @ x`` over equality rows, ``<=`` rows
+    and variable bounds (finite lower bounds, ``+inf`` upper bounds allowed)."""
 
     objective: np.ndarray
     a_eq: np.ndarray | None = None
@@ -87,7 +85,6 @@ class LinearProgram:
     b_ub: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
-    sense: str = "min"
 
     def __post_init__(self):
         self.objective = _as_vector(self.objective)
@@ -105,8 +102,6 @@ class LinearProgram:
 
     def validate(self) -> None:
         n = self.n_vars
-        if self.sense not in ("min", "max"):
-            raise ValidationError(f"sense must be 'min' or 'max', got {self.sense!r}")
         for name, mat, rhs in (("a_eq", self.a_eq, self.b_eq), ("a_ub", self.a_ub, self.b_ub)):
             if mat.shape[1] != n:
                 raise DimensionMismatch(f"{name} has {mat.shape[1]} columns, expected {n}")
@@ -119,8 +114,7 @@ class LinearProgram:
         if not np.all(np.isfinite(self.objective)):
             raise ValidationError("nonfinite objective coefficient")
         for what, bad in (("NaN bound", np.isnan(self.lower) | np.isnan(self.upper)),
-                          ("lower bound of +inf", self.lower == np.inf),
-                          ("upper bound of -inf", self.upper == -np.inf),
+                          ("non-finite lower bound", ~np.isfinite(self.lower)),
                           ("lower bound exceeds upper bound", self.lower > self.upper)):
             if np.any(bad):
                 raise ValidationError(f"{what} for variable {int(np.argmax(bad))}")
@@ -143,21 +137,6 @@ class BasisState:
 
     basis: np.ndarray
     status: np.ndarray
-
-
-@dataclass
-class KKTReport:
-    primal_equality: float
-    primal_inequality: float
-    primal_bounds: float
-    dual_sign: float
-    complementarity: float
-    duality_gap: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.primal_equality, self.primal_inequality, self.primal_bounds,
-                   self.dual_sign, self.complementarity, self.duality_gap)
 
 
 class _Simplex:
@@ -187,9 +166,8 @@ class _Simplex:
         self.A = A
         self.b = np.concatenate([lp.b_eq, lp.b_ub])
 
-        self.sign = 1.0 if lp.sense == "min" else -1.0
         self.c = np.zeros(self.n_total)
-        self.c[:n] = self.sign * lp.objective
+        self.c[:n] = lp.objective
 
         self.lower = np.concatenate([lp.lower, np.zeros(self.n_slack + m)])
         self.upper = np.concatenate([lp.upper, np.full(self.n_slack, np.inf), np.full(m, np.inf)])
@@ -200,6 +178,7 @@ class _Simplex:
         self.stat = np.full(self.n_total, _AT_LOWER, dtype=np.int8)
         self.x = np.zeros(self.n_total)
         self.iterations = 0
+        self.max_iter = 200 * (m + n) + 2000
         bscale = float(np.max(np.abs(self.b))) if m else 0.0
         self.tol_p = 1e-9 * (1.0 + bscale)
 
@@ -274,8 +253,7 @@ class _Simplex:
         span_ok = self.upper - self.lower > 0.0
         cand_low = (self.stat == _AT_LOWER) & span_ok & (r < -tol_d)
         cand_up = (self.stat == _AT_UPPER) & span_ok & (r > tol_d)
-        cand_free = (self.stat == _FREE) & (np.abs(r) > tol_d)
-        eligible = cand_low | cand_up | cand_free
+        eligible = cand_low | cand_up
         if not np.any(eligible):
             return None, 0
         idx = np.flatnonzero(eligible)
@@ -283,8 +261,7 @@ class _Simplex:
             q = int(idx[0])
         else:
             q = int(idx[np.argmax(np.abs(r[idx]))])
-        direction = 1 if (self.stat[q] == _AT_LOWER or (self.stat[q] == _FREE and r[q] < 0)) else -1
-        return q, direction
+        return q, (1 if self.stat[q] == _AT_LOWER else -1)
 
     def _primal_step(self, q: int, direction: int):
         w = self.binv @ self.A[:, q]
@@ -325,14 +302,14 @@ class _Simplex:
         self._pivot(k_best, q, w, direction * t_best, hit_upper)
         return "pivot", t_best
 
-    def optimize(self, c: np.ndarray, max_iter: int) -> str:
+    def optimize(self, c: np.ndarray) -> str:
         tol_d = 1e-9 * (1.0 + float(np.max(np.abs(c))))
         bland = False
         degenerate = 0
         since_refactor = 0
         while True:
-            if self.iterations >= max_iter:
-                raise NumericalError(f"simplex iteration cap ({max_iter}) exceeded")
+            if self.iterations >= self.max_iter:
+                raise NumericalError(f"simplex iteration cap ({self.max_iter}) exceeded")
             q, direction = self._choose_entering(self._reduced_costs(c), tol_d, bland)
             if q is None:
                 return STATUS_OPTIMAL
@@ -354,22 +331,14 @@ class _Simplex:
 
     # -- phase 1 ----------------------------------------------------------------
 
-    def phase1(self, max_iter: int) -> bool:
+    def phase1(self) -> bool:
         """Install a primal-feasible basis; returns False when infeasible."""
         n, m = self.n, self.m
-        finite_low = np.isfinite(self.lower[:n])
-        finite_up = np.isfinite(self.upper[:n])
-        start = np.zeros(n)
-        start[finite_low] = self.lower[:n][finite_low]
-        only_up = ~finite_low & finite_up
-        start[only_up] = np.minimum(self.upper[:n][only_up], 0.0)
-        self.x[:n] = start
-        self.stat[:n] = np.where(finite_low, _AT_LOWER, np.where(finite_up, _AT_UPPER, _FREE))
-        self.stat[:n][only_up & (start < self.upper[:n])] = _FREE
+        self.x[:n] = self.lower[:n]
         self.x[n:] = 0.0
-        self.stat[n:] = _AT_LOWER
+        self.stat[:] = _AT_LOWER
 
-        resid = self.b - self.A[:, :n] @ start
+        resid = self.b - self.A[:, :n] @ self.x[:n]
         basis = np.empty(m, dtype=np.int64)
         c1 = np.zeros(self.n_total)
         for i in range(m):
@@ -385,7 +354,7 @@ class _Simplex:
         self.stat[basis] = _BASIC
         self._refactor()
 
-        status = self.optimize(c1, max_iter)
+        status = self.optimize(c1)
         if status != STATUS_OPTIMAL:  # pragma: no cover - phase 1 is bounded below
             raise NumericalError("phase 1 terminated abnormally")
         self._refactor()
@@ -413,15 +382,15 @@ class _Simplex:
 
     # -- dual simplex (warm starts) --------------------------------------------
 
-    def dual_optimize(self, c: np.ndarray, max_iter: int) -> str:
+    def dual_optimize(self, c: np.ndarray) -> str:
         """Reoptimize from a dual-feasible basis after bound changes."""
         tol_d = 1e-9 * (1.0 + float(np.max(np.abs(c))))
         since_refactor = 0
         bland = False
         stalls = 0
         while True:
-            if self.iterations >= max_iter:
-                raise NumericalError(f"dual simplex iteration cap ({max_iter}) exceeded")
+            if self.iterations >= self.max_iter:
+                raise NumericalError(f"dual simplex iteration cap ({self.max_iter}) exceeded")
             xb = self.x[self.basis]
             lb = self.lower[self.basis]
             ub = self.upper[self.basis]
@@ -442,8 +411,7 @@ class _Simplex:
             else:
                 ok_low = (self.stat == _AT_LOWER) & span_ok & (alpha > 1e-9)
                 ok_up = (self.stat == _AT_UPPER) & span_ok & (alpha < -1e-9)
-            ok_free = (self.stat == _FREE) & (np.abs(alpha) > 1e-9)
-            eligible = np.flatnonzero(ok_low | ok_up | ok_free)
+            eligible = np.flatnonzero(ok_low | ok_up)
             if eligible.size == 0:
                 return STATUS_INFEASIBLE
             ratios = np.abs(r[eligible]) / np.abs(alpha[eligible])
@@ -481,29 +449,19 @@ class _Simplex:
         r_all = self.c - self.A.T @ y
         n = self.n
         x = self.x[:n].copy()
-        obj = float(self.c[:n] @ x) * self.sign
-        y_eq = y[: self.m_eq]
-        y_ub = y[self.m_eq:]
-        mu = np.maximum(-y_ub, 0.0)
-        if self.sign > 0:
-            duals_eq = y_eq.copy()
-            reduced = r_all[:n].copy()
-        else:
-            duals_eq = -y_eq
-            reduced = -r_all[:n]
-        return LPSolution(status=STATUS_OPTIMAL, x=x, objective=obj,
-                          duals_eq=duals_eq, duals_ub=mu, reduced_costs=reduced,
-                          iterations=self.iterations)
+        return LPSolution(status=STATUS_OPTIMAL, x=x, objective=float(self.c[:n] @ x),
+                          duals_eq=y[: self.m_eq], duals_ub=np.maximum(-y[self.m_eq:], 0.0),
+                          reduced_costs=r_all[:n], iterations=self.iterations)
 
     def basis_state(self) -> BasisState:
         return BasisState(self.basis.copy(), self.stat.copy())
 
 
-def _polish(sx: _Simplex, max_iter: int) -> str:
+def _polish(sx: _Simplex) -> str:
     """Optimize primally from a primal-feasible basis, then refactor and
     re-price until the optimum is clean."""
     for _ in range(3):
-        status = sx.optimize(sx.c, max_iter)
+        status = sx.optimize(sx.c)
         if status != STATUS_OPTIMAL:
             return status
         sx._refactor()
@@ -514,34 +472,32 @@ def _polish(sx: _Simplex, max_iter: int) -> str:
     return STATUS_OPTIMAL
 
 
-def _finish(sx: _Simplex, status: str, max_iter: int) -> tuple[LPSolution, BasisState | None]:
+def _finish(sx: _Simplex, status: str) -> tuple[LPSolution, BasisState | None]:
     """The one ending of cold and warm solves: polish a primal-feasible
     basis, then report it, with its state when it is optimal."""
     if status == STATUS_OPTIMAL:
-        status = _polish(sx, max_iter)
+        status = _polish(sx)
     return sx.extract(status), (sx.basis_state() if status == STATUS_OPTIMAL else None)
 
 
-def solve_lp_with_state(lp: LinearProgram,
-                        max_iter: int | None = None) -> tuple[LPSolution, BasisState | None]:
+def solve_lp_with_state(lp: LinearProgram) -> tuple[LPSolution, BasisState | None]:
     """Like :func:`solve_lp` but also returns the optimal basis for warm starts."""
     sx = _Simplex(lp)
-    if max_iter is None:
-        max_iter = 200 * (sx.m + sx.n) + 2000
-    status = STATUS_OPTIMAL if sx.phase1(max_iter) else STATUS_INFEASIBLE
-    return _finish(sx, status, max_iter)
+    return _finish(sx, STATUS_OPTIMAL if sx.phase1() else STATUS_INFEASIBLE)
 
 
-def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> LPSolution:
-    """Solve an LP to optimality, infeasibility or unboundedness.
+def solve_lp(lp: LinearProgram) -> LPSolution:
+    """Minimize ``lp`` to optimality, infeasibility or unboundedness.
 
-    Raises :class:`NumericalError` if the pivot cap is exhausted.
+    Raises :class:`ValidationError` for malformed input, a non-finite lower
+    bound included, and :class:`NumericalError` once the pivot cap of
+    ``200 * (rows + variables) + 2000`` is exhausted.
     """
-    return solve_lp_with_state(lp, max_iter)[0]
+    return solve_lp_with_state(lp)[0]
 
 
-def solve_lp_warm(lp: LinearProgram, state: BasisState,
-                  max_iter: int | None = None) -> tuple[LPSolution, BasisState | None]:
+def solve_lp_warm(lp: LinearProgram,
+                  state: BasisState) -> tuple[LPSolution, BasisState | None]:
     """Resolve ``lp`` starting from a basis of a bound-modified relative.
 
     The basis must come from an LP with identical rows and objective; only
@@ -549,8 +505,6 @@ def solve_lp_warm(lp: LinearProgram, state: BasisState,
     included, on any numerical trouble.
     """
     sx = _Simplex(lp)
-    if max_iter is None:
-        max_iter = 200 * (sx.m + sx.n) + 2000
     try:
         if state.basis.size != sx.m or state.status.size != sx.n_total:
             raise NumericalError("basis state has mismatched dimensions")
@@ -559,7 +513,6 @@ def solve_lp_warm(lp: LinearProgram, state: BasisState,
         sx.upper[sx.art] = 0.0
         nonbasic = sx.stat != _BASIC
         vals = np.where(sx.stat == _AT_UPPER, sx.upper, sx.lower)
-        vals[sx.stat == _FREE] = 0.0
         bad = nonbasic & ~np.isfinite(vals)
         if np.any(bad):
             raise NumericalError("nonbasic variable lost its finite bound")
@@ -567,20 +520,21 @@ def solve_lp_warm(lp: LinearProgram, state: BasisState,
         sx._refactor()
         # The dual method restores primal feasibility; the polish then
         # repairs reduced-cost signs that the bound changes disturbed.
-        return _finish(sx, sx.dual_optimize(sx.c, max_iter), max_iter)
+        return _finish(sx, sx.dual_optimize(sx.c))
     except NumericalError as exc:
         _log.debug("warm start fell back to a cold solve: %s", exc)
-        return solve_lp_with_state(lp, max_iter)
+        return solve_lp_with_state(lp)
 
 
-def check_kkt(lp: LinearProgram, sol: LPSolution) -> KKTReport:
-    """Report KKT residuals for an optimal solution (no judgement, no raise)."""
+def check_kkt(lp: LinearProgram, sol: LPSolution) -> float:
+    """Worst KKT residual of an optimal solution (no judgement, no raise):
+    primal equality, inequality and bound violation, dual sign violation,
+    complementarity and duality gap."""
     if sol.status != STATUS_OPTIMAL:
         raise ValidationError("check_kkt expects an optimal solution")
     x = np.asarray(sol.x, dtype=float)
-    sign = 1.0 if lp.sense == "min" else -1.0
-    c = sign * lp.objective
-    g_eq = sign * sol.duals_eq if sol.duals_eq is not None else np.zeros(0)
+    c = lp.objective
+    g_eq = sol.duals_eq if sol.duals_eq is not None else np.zeros(0)
     mu = sol.duals_ub if sol.duals_ub is not None else np.zeros(0)
 
     pe = float(np.max(np.abs(lp.a_eq @ x - lp.b_eq))) if lp.b_eq.size else 0.0
@@ -618,5 +572,4 @@ def check_kkt(lp: LinearProgram, sol: LPSolution) -> KKTReport:
     dual_obj += float(np.sum(bound_term))
     gap = abs(float(c @ x) - dual_obj)
 
-    return KKTReport(primal_equality=pe, primal_inequality=pu, primal_bounds=pb,
-                     dual_sign=ds, complementarity=comp, duality_gap=gap)
+    return max(pe, pu, pb, ds, comp, gap)

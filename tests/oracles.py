@@ -51,7 +51,6 @@ def lp_vertex_optimum(lp: LinearProgram, tol: float = 1e-8):
 
     best_obj = None
     best_x = None
-    want_min = lp.sense == "min"
     for combo in itertools.combinations(range(len(rows)), need):
         A = np.vstack([lp.a_eq] + [rows[i][0] for i in combo]) if m_eq else (
             np.vstack([rows[i][0] for i in combo]) if combo else np.zeros((0, n)))
@@ -72,7 +71,7 @@ def lp_vertex_optimum(lp: LinearProgram, tol: float = 1e-8):
         if lp.b_eq.size and np.max(np.abs(lp.a_eq @ x - lp.b_eq)) > feas_tol:
             continue
         obj = float(lp.objective @ x)
-        if best_obj is None or (obj < best_obj if want_min else obj > best_obj):
+        if best_obj is None or obj < best_obj:
             best_obj = obj
             best_x = x
     if best_obj is None:
@@ -90,7 +89,6 @@ def milp_enumerate_optimum(problem, tol: float = 1e-8):
     lp = problem.lp
     bin_idx = np.asarray(problem.binary, dtype=np.int64)
     cont_idx = np.setdiff1d(np.arange(lp.n_vars), bin_idx)
-    want_min = lp.sense == "min"
     best_obj = None
     best_x = None
     for bits in itertools.product((0.0, 1.0), repeat=bin_idx.size):
@@ -115,13 +113,12 @@ def milp_enumerate_optimum(problem, tol: float = 1e-8):
                                 b_eq=b_eq if lp.b_eq.size else None,
                                 a_ub=lp.a_ub[:, cont_idx] if lp.b_ub.size else None,
                                 b_ub=b_ub if lp.b_ub.size else None,
-                                lower=lp.lower[cont_idx], upper=lp.upper[cont_idx],
-                                sense=lp.sense)
+                                lower=lp.lower[cont_idx], upper=lp.upper[cont_idx])
             status, sub_obj, x = lp_vertex_optimum(sub, tol)
             if status != "optimal":
                 continue
             obj = sub_obj + const
-        if best_obj is None or (obj < best_obj if want_min else obj > best_obj):
+        if best_obj is None or obj < best_obj:
             best_obj = obj
             full = np.empty(lp.n_vars)
             full[bin_idx] = xb
@@ -369,8 +366,8 @@ def unit_sphere_linear_max(a: np.ndarray, rng: np.random.Generator | None = None
     return u
 
 
-def random_box_lp(rng: np.random.Generator, n: int, m_ub: int, m_eq: int = 0,
-                  sense: str = "min") -> LinearProgram:
+def random_box_lp(rng: np.random.Generator, n: int, m_ub: int,
+                  m_eq: int = 0) -> LinearProgram:
     """Feasible, bounded LP: a point inside the box satisfies every row."""
     c = rng.normal(size=n)
     lower = rng.uniform(-2.0, 0.0, n)
@@ -381,4 +378,4 @@ def random_box_lp(rng: np.random.Generator, n: int, m_ub: int, m_eq: int = 0,
     a_eq = rng.normal(size=(m_eq, n)) if m_eq else None
     b_eq = a_eq @ x0 if m_eq else None
     return LinearProgram(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
-                         lower=lower, upper=upper, sense=sense)
+                         lower=lower, upper=upper)

@@ -12,12 +12,13 @@ from oracles import milp_enumerate_optimum
 
 
 def test_small_knapsack_by_hand():
-    # max 3a + 4b + 5c with 2a + 3b + 4c <= 6: best picks a and c for 8.
-    lp = LinearProgram([3.0, 4.0, 5.0], a_ub=[[2.0, 3.0, 4.0]], b_ub=[6.0],
-                       lower=[0.0] * 3, upper=[1.0] * 3, sense="max")
+    # max 3a + 4b + 5c with 2a + 3b + 4c <= 6, posed as the minimization
+    # of the negated values: best picks a and c for -8.
+    lp = LinearProgram([-3.0, -4.0, -5.0], a_ub=[[2.0, 3.0, 4.0]], b_ub=[6.0],
+                       lower=[0.0] * 3, upper=[1.0] * 3)
     sol = solve_milp(MILPProblem(lp, [0, 1, 2]))
     assert sol.status == "optimal"
-    assert sol.objective == pytest.approx(8.0, abs=1e-9)
+    assert sol.objective == pytest.approx(-8.0, abs=1e-9)
     assert np.allclose(sol.x, [1.0, 0.0, 1.0], atol=1e-9)
 
 
@@ -87,14 +88,14 @@ def test_matches_enumeration_on_random_mixed_instances(seed):
     nc = int(rng.integers(0, 4))      # continuous
     n = k + nc
     m_ub = int(rng.integers(1, 5))
-    sense = "min" if seed % 2 == 0 else "max"
     c = rng.normal(size=n) * 3.0
     a_ub = rng.normal(size=(m_ub, n))
     b_ub = rng.normal(size=m_ub) * 2.0
     lower = np.concatenate([np.zeros(k), rng.uniform(-2.0, 0.0, nc)])
     upper = np.concatenate([np.ones(k), rng.uniform(0.5, 2.5, nc)])
-    lp = LinearProgram(c, a_ub=a_ub, b_ub=b_ub, lower=lower, upper=upper,
-                       sense=sense)
+    if seed % 2:  # odd seeds minimize -c, the other objective orientation
+        c = -c
+    lp = LinearProgram(c, a_ub=a_ub, b_ub=b_ub, lower=lower, upper=upper)
     problem = MILPProblem(lp, np.arange(k))
     ref_status, ref_obj, _ = milp_enumerate_optimum(problem)
     try:
@@ -107,14 +108,12 @@ def test_matches_enumeration_on_random_mixed_instances(seed):
         assert sol.gap <= 1e-6 + 1e-12
         binaries = sol.x[:k]
         assert np.max(np.abs(binaries - np.round(binaries))) <= 1e-9
-        sgn = 1.0 if sense == "min" else -1.0
-        assert sgn * sol.best_bound <= sgn * sol.objective + 1e-6
+        assert sol.best_bound <= sol.objective + 1e-6
         # The incumbent is reported as found: re-solving with its binaries
         # pinned to their rounded values gives the same objective.
         lo, up = lower.copy(), upper.copy()
         lo[:k] = up[:k] = np.round(binaries)
-        pinned = solve_lp(LinearProgram(c, a_ub=a_ub, b_ub=b_ub, lower=lo, upper=up,
-                                        sense=sense))
+        pinned = solve_lp(LinearProgram(c, a_ub=a_ub, b_ub=b_ub, lower=lo, upper=up))
         assert pinned.status == "optimal"
         assert sol.objective == pytest.approx(pinned.objective, rel=1e-9)
 

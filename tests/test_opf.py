@@ -42,7 +42,7 @@ def dispatch_lps(monkeypatch):
 
 
 def kkt_ok(lp, sol):
-    return check_kkt(lp, sol).max_residual <= 1e-7 * (1.0 + abs(sol.objective))
+    return check_kkt(lp, sol) <= 1e-7 * (1.0 + abs(sol.objective))
 
 
 def recompute_balance(net, sol, d):

@@ -44,13 +44,7 @@ from .ellipsoid import (
 )
 from .errors import (
     ArotnepError,
-    DimensionMismatch,
-    DomainError,
-    InfeasibleOperation,
     IterationLimit,
-    MasterInfeasible,
-    NodeLimitExceeded,
-    NotPositiveDefinite,
     NumericalError,
     ParseError,
     ValidationError,
@@ -63,17 +57,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArotnepError",
-    "DimensionMismatch",
-    "DomainError",
     "EllipsoidalSet",
-    "InfeasibleOperation",
     "InnerResult",
     "IterationLimit",
-    "MasterInfeasible",
     "MasterResult",
     "Network",
-    "NodeLimitExceeded",
-    "NotPositiveDefinite",
     "NumericalError",
     "OPFSolution",
     "ParseError",

@@ -62,7 +62,6 @@ class Spread:
 class UncertaintySpec:
     std: Spread
     interval_z: float
-    std_scale: float
     correlations: tuple[CorrelationEntry, ...]
     beta: float | None
     quantile: float | None
@@ -127,7 +126,7 @@ def _parse_uncertainty(obj, ctx: str) -> UncertaintySpec:
     if not isinstance(obj, dict):
         raise ParseError(f"{ctx} must be an object")
     require_keys(obj, {"std", "correlations", "beta", "quantile", "bounds",
-                       "sign_restricted", "std_scale"}, {"std"}, ctx)
+                       "sign_restricted"}, {"std"}, ctx)
 
     std = _parse_spread(obj["std"], f"{ctx}.std", True, frozenset({"interval_z"}))
     interval_z = 2.3263
@@ -135,12 +134,6 @@ def _parse_uncertainty(obj, ctx: str) -> UncertaintySpec:
         interval_z = get_num(obj["std"], "interval_z", f"{ctx}.std")
         if interval_z <= 0.0:
             raise ValidationError(f"{ctx}.std.interval_z must be positive")
-
-    std_scale = 1.0
-    if "std_scale" in obj:
-        std_scale = get_num(obj, "std_scale", ctx)
-        if std_scale <= 0.0:
-            raise ValidationError(f"{ctx}.std_scale must be positive")
 
     correlations = []
     for i, entry in enumerate(obj.get("correlations", [])):
@@ -181,7 +174,7 @@ def _parse_uncertainty(obj, ctx: str) -> UncertaintySpec:
         sign_restricted = obj["sign_restricted"]
 
     return UncertaintySpec(
-        std=std, interval_z=interval_z, std_scale=std_scale,
+        std=std, interval_z=interval_z,
         correlations=tuple(correlations), beta=beta, quantile=quantile,
         bounds=bounds, sign_restricted=sign_restricted)
 
@@ -223,6 +216,8 @@ def study_config_from_dict(data: dict, base_dir: Path) -> StudyConfig:
             caps[key] = get_int(data, key, "study")
     if caps["max_outer"] < 1 or caps["max_inner"] < 1 or caps["inner_starts"] < 1:
         raise ValidationError("study: iteration caps and starts must be at least 1")
+    if caps["seed"] < 0:
+        raise ValidationError("study: seed must be nonnegative")
 
     samples, sim_seed = 1000, 0
     if "simulation" in data:
@@ -235,6 +230,8 @@ def study_config_from_dict(data: dict, base_dir: Path) -> StudyConfig:
             raise ValidationError("study.simulation: samples must be at least 1")
         if "seed" in blk:
             sim_seed = get_int(blk, "seed", "study.simulation")
+            if sim_seed < 0:
+                raise ValidationError("study.simulation: seed must be nonnegative")
 
     output_dir = None
     if "output_dir" in data:
@@ -282,7 +279,6 @@ def build_uncertainty(cfg: StudyConfig, net: Network,
             raise ValidationError(
                 "study.uncertainty: fractional spreads need nonzero nominal "
                 "values; give std.values explicitly instead")
-    std = std * spec.std_scale
 
     corr = np.eye(n)
     pos = {uid: i for i, uid in enumerate(net.uncertain_ids)}

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ellipsoid import EllipsoidalSet
-from .errors import IterationLimit, MasterInfeasible, ValidationError
+from .errors import IterationLimit, NumericalError, ValidationError
 from .milp import MILPProblem, solve_milp
 from .network import LINE_EXISTING, Network
 from .opf import (ANGLE_BOUND, OPFSolution, clip_uncertain, dispatch_block,
@@ -47,7 +47,6 @@ class InnerResult:
     dispatch: OPFSolution
     iterations: int
     converged: bool
-    zero_gradient: bool
     history: list[float] = field(default_factory=list)
 
 
@@ -57,6 +56,8 @@ def inner_solve(net: Network, es: EllipsoidalSet, built=frozenset(), *,
     """Block-coordinate ascent from one starting point."""
     if es.dim != net.n_uncertain:
         raise ValidationError("uncertainty set dimension does not match network")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be at least 1, got {max_iter}")
     if start is None:
         adverse = np.where(es.signs == 0.0, 1.0, es.signs)
         start = es.mean + adverse * np.sqrt(np.diag(es.covariance))
@@ -66,7 +67,6 @@ def inner_solve(net: Network, es: EllipsoidalSet, built=frozenset(), *,
     prev_d: np.ndarray | None = None
     prev_q: float | None = None
     scale = 1.0 + float(np.max(np.abs(es.mean)))
-    sol = None
     for it in range(1, max_iter + 1):
         sol = solve_opf(net, d=d, built=built)
         q = sol.objective
@@ -75,15 +75,14 @@ def inner_solve(net: Network, es: EllipsoidalSet, built=frozenset(), *,
             step_small = float(np.max(np.abs(d - prev_d))) <= tol * scale
             cost_small = abs(q - prev_q) <= tol * (1.0 + abs(q))
             if step_small or cost_small:
-                return InnerResult(q, d, sol, it, True, False, history)
+                return InnerResult(q, d, sol, it, True, history)
         move = es.bounded_step(sol.eta)
         if move.zero_gradient:
             # Flat cost around the current point: it is already maximal.
-            return InnerResult(q, d, sol, it, True, True, history)
+            return InnerResult(q, d, sol, it, True, history)
         prev_d, prev_q = d, q
         d = move.point
-    return InnerResult(history[-1] if history else np.nan, prev_d if prev_d is not None else d,
-                       sol, max_iter, False, False, history)
+    return InnerResult(history[-1], prev_d, sol, max_iter, False, history)
 
 
 def worst_case_cost(net: Network, es: EllipsoidalSet, built=frozenset(), *,
@@ -125,12 +124,10 @@ def worst_case_cost(net: Network, es: EllipsoidalSet, built=frozenset(), *,
 @dataclass
 class MasterResult:
     built: frozenset[str]
-    x: dict[str, int]
     gamma: float
     investment: float
     objective: float
     nodes: int
-    gap: float
 
 
 def investment_cost(net: Network, built) -> float:
@@ -149,8 +146,7 @@ def _identical_chains(candidates) -> list[list[int]]:
     return [chain for chain in groups.values() if len(chain) > 1]
 
 
-def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6,
-                 node_limit: int = 100_000) -> MasterResult:
+def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6) -> MasterResult:
     """Pick candidate lines minimizing investment plus the worst dispatch
     cost over the stored scenarios."""
     candidates = list(net.candidate_lines)
@@ -160,8 +156,7 @@ def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6,
         if s.size != net.n_uncertain:
             raise ValidationError("scenario size does not match network")
     if not scenarios:
-        return MasterResult(frozenset(), {ln.id: 0 for ln in candidates},
-                            0.0, 0.0, 0.0, 0, 0.0)
+        return MasterResult(frozenset(), 0.0, 0.0, 0.0, 0)
 
     lines = list(net.lines)
     coupled = [ln.status == LINE_EXISTING for ln in lines]
@@ -252,20 +247,17 @@ def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6,
 
     lp = LinearProgram(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
                        lower=lower, upper=upper)
-    milp = solve_milp(MILPProblem(lp, np.arange(n_cand)),
-                      gap_tol=gap_tol, node_limit=node_limit)
+    milp = solve_milp(MILPProblem(lp, np.arange(n_cand)), gap_tol=gap_tol)
     if milp.status != "optimal":
-        raise MasterInfeasible(
+        raise NumericalError(
             "investment master reported infeasible although the no-build "
             "plan always satisfies it; the model data is inconsistent")
 
-    xbin = np.round(milp.x[:n_cand]).astype(int)
-    x = {ln.id: int(xbin[i]) for i, ln in enumerate(candidates)}
-    built = frozenset(ln.id for i, ln in enumerate(candidates) if xbin[i] == 1)
-    return MasterResult(built=built, x=x, gamma=float(milp.x[off_gamma]),
+    built = frozenset(ln.id for i, ln in enumerate(candidates)
+                      if round(milp.x[i]) == 1)
+    return MasterResult(built=built, gamma=float(milp.x[off_gamma]),
                         investment=investment_cost(net, built),
-                        objective=float(milp.objective),
-                        nodes=milp.nodes, gap=milp.gap)
+                        objective=float(milp.objective), nodes=milp.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +302,6 @@ def _relative_gap(z_up: float, z_lo: float) -> float:
 def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
                 max_outer: int = 50, inner_tol: float = 1e-6,
                 max_inner: int = 100, inner_starts: int = 3, seed: int = 0,
-                node_limit: int = 100_000,
                 master_gap: float = 1e-6) -> PlanResult:
     """Column-and-constraint style alternation between master and worst case.
 
@@ -350,7 +341,7 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
         if climb.worst_cost >= replay[k].objective:
             return climb
         return InnerResult(replay[k].objective, scenarios[k].copy(),
-                           replay[k], 1, True, False, [replay[k].objective])
+                           replay[k], 1, True, [replay[k].objective])
 
     status = "iteration_limit"
     for nu in range(1, max_outer + 1):
@@ -383,10 +374,8 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
             if sol.objective > q:
                 candidates[plan] = (inv, sol.objective,
                                     InnerResult(sol.objective, point.copy(),
-                                                sol, 1, True, False,
-                                                [sol.objective]))
-        master = solve_master(net, scenarios, gap_tol=master_gap,
-                              node_limit=node_limit)
+                                                sol, 1, True, [sol.objective]))
+        master = solve_master(net, scenarios, gap_tol=master_gap)
         built = master.built
         z_lo = master.objective
         log[-1].runtime_s = time.perf_counter() - tick

@@ -30,13 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    NotPositiveDefinite,
-    NumericalError,
-    ValidationError,
-)
+from .errors import NumericalError, ValidationError
+
+# KKT residual to which a boundary solve is verified.
+_KKT_TOL = 1e-8
 
 # ---------------------------------------------------------------------------
 # scalar probability helpers
@@ -50,7 +47,7 @@ def phi(x: float) -> float:
 def phi_inv(p: float) -> float:
     """Standard normal quantile; requires ``0 < p < 1``."""
     if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile level must lie strictly in (0, 1), got {p}")
+        raise ValidationError(f"quantile level must lie strictly in (0, 1), got {p}")
     lo, hi = -40.0, 40.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -82,9 +79,9 @@ def soyster_beta(n: int, z: float) -> float:
     """Radius at which the ellipsoid contains the full ``z``-sigma box corner
     in ``n`` dimensions; beyond it the set degenerates to interval robustness."""
     if n < 1:
-        raise DomainError(f"dimension must be at least 1, got {n}")
+        raise ValidationError(f"dimension must be at least 1, got {n}")
     if z <= 0.0:
-        raise DomainError(f"z must be positive, got {z}")
+        raise ValidationError(f"z must be positive, got {z}")
     return float(z) * math.sqrt(float(n))
 
 
@@ -92,7 +89,7 @@ def std_from_interval(half_width: np.ndarray, z: float) -> np.ndarray:
     """Standard deviations implied by symmetric ``z``-sigma intervals."""
     half_width = np.asarray(half_width, dtype=float)
     if z <= 0.0:
-        raise DomainError(f"z must be positive, got {z}")
+        raise ValidationError(f"z must be positive, got {z}")
     if np.any(half_width < 0.0):
         raise ValidationError("interval half-widths must be nonnegative")
     return half_width / float(z)
@@ -104,17 +101,17 @@ def std_from_interval(half_width: np.ndarray, z: float) -> np.ndarray:
 
 def cholesky_lower(a: np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive definite
-    matrix; :class:`NotPositiveDefinite` carries the index of the first
-    failing leading minor."""
+    matrix; any other raises :class:`ValidationError` naming the first
+    failing leading minor (0-based)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
     L = np.zeros_like(a)
     for j in range(n):
         s = a[j, j] - np.dot(L[j, :j], L[j, :j])
         if s <= 0.0 or not np.isfinite(s):
-            raise NotPositiveDefinite(index=j)
+            raise ValidationError(f"matrix is not positive definite (leading minor {j})")
         L[j, j] = math.sqrt(s)
         if j + 1 < n:
             L[j + 1:, j] = (a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
@@ -143,7 +140,7 @@ class EllipsoidalSet:
         n = self.mean.size
         cov = np.asarray(covariance, dtype=float)
         if cov.shape != (n, n):
-            raise DimensionMismatch(
+            raise ValidationError(
                 f"covariance shape {cov.shape} does not match mean size {n}")
         if not np.all(np.isfinite(cov)):
             raise ValidationError("covariance has nonfinite entries")
@@ -158,7 +155,7 @@ class EllipsoidalSet:
 
         radius = float(radius)
         if radius < 0.0 or not np.isfinite(radius):
-            raise DomainError(f"radius must be finite and nonnegative, got {radius}")
+            raise ValidationError(f"radius must be finite and nonnegative, got {radius}")
         self.radius = radius
 
         if half_width is None:
@@ -166,7 +163,7 @@ class EllipsoidalSet:
         else:
             hw = np.atleast_1d(np.asarray(half_width, dtype=float)).copy()
             if hw.size != n:
-                raise DimensionMismatch("half_width size does not match mean")
+                raise ValidationError("half_width size does not match mean")
             if np.any(hw < 0.0) or np.any(np.isnan(hw)):
                 raise ValidationError("half-widths must be nonnegative")
         self.half_width = hw
@@ -176,7 +173,7 @@ class EllipsoidalSet:
         else:
             sg = np.atleast_1d(np.asarray(signs, dtype=float)).copy()
             if sg.size != n:
-                raise DimensionMismatch("signs size does not match mean")
+                raise ValidationError("signs size does not match mean")
             if not set(np.unique(sg)).issubset({-1.0, 0.0, 1.0}):
                 raise ValidationError("signs must be -1, 0 or +1")
         self.signs = sg
@@ -220,7 +217,7 @@ class EllipsoidalSet:
     def sample(self, rng: np.random.Generator, n_samples: int) -> np.ndarray:
         """Gaussian draws with the set's mean and covariance, one per row."""
         if n_samples < 1:
-            raise DomainError("n_samples must be at least 1")
+            raise ValidationError("n_samples must be at least 1")
         z = rng.standard_normal((n_samples, self.dim))
         return self.map_z(z)
 
@@ -243,7 +240,7 @@ class EllipsoidalSet:
         limits): ``mean + radius * Sigma eta / sqrt(eta' Sigma eta)``."""
         eta = np.asarray(eta, dtype=float)
         if eta.size != self.dim:
-            raise DimensionMismatch("gradient size does not match the set")
+            raise ValidationError("gradient size does not match the set")
         sig_eta = self.covariance @ eta
         denom_sq = float(eta @ sig_eta)
         if denom_sq <= 0.0 or float(np.max(np.abs(eta))) <= 1e-12:
@@ -251,7 +248,7 @@ class EllipsoidalSet:
         d = self.mean + self.radius * sig_eta / math.sqrt(denom_sq)
         return MaxLikelihoodPoint(d, zero_gradient=False)
 
-    def bounded_step(self, eta: np.ndarray, kkt_tol: float = 1e-8) -> MaxLikelihoodPoint:
+    def bounded_step(self, eta: np.ndarray) -> MaxLikelihoodPoint:
         """Maximizer of ``eta @ d`` over the ellipsoid intersected with the
         interval limits.
 
@@ -260,7 +257,7 @@ class EllipsoidalSet:
         ellipsoid), and otherwise an exact boundary solve — an active-set
         box QP for each trial value of the inverse ellipsoid multiplier,
         with the multiplier found in closed form per active set inside a
-        bisection bracket — verified to a KKT residual of ``kkt_tol``.
+        bisection bracket — verified to a KKT residual of ``_KKT_TOL``.
         """
         step = self.analytical_step(eta)
         if step.zero_gradient:
@@ -279,10 +276,10 @@ class EllipsoidalSet:
                 self.mahalanobis_sq(box_pt) <= self.radius**2 * (1.0 + 1e-12) + 1e-12:
             return MaxLikelihoodPoint(box_pt, stage="box")
 
-        d = self._boundary_solve(eta, kkt_tol)
+        d = self._boundary_solve(eta)
         return MaxLikelihoodPoint(d, stage="boundary")
 
-    def _boundary_solve(self, eta: np.ndarray, kkt_tol: float) -> np.ndarray:
+    def _boundary_solve(self, eta: np.ndarray) -> np.ndarray:
         """Maximizer of ``eta @ d`` when the ellipsoid and the box both bind.
 
         With ``t = 1/omega`` for the ellipsoid multiplier ``omega``, the
@@ -337,7 +334,7 @@ class EllipsoidalSet:
 
         d = self.mean + delta
         resid = self._kkt_residual(eta, d, omega)
-        if resid > kkt_tol:
+        if resid > _KKT_TOL:
             raise NumericalError(
                 f"worst-case boundary solve left a KKT residual of {resid:.2e}")
         return d

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all arotnep modules."""
+"""Exception hierarchy shared by all arotnep modules.
+
+A run can fail in three ways: the input is bad (:class:`ParseError`,
+:class:`ValidationError`), a solver gets stuck (:class:`NumericalError`),
+or an iteration cap runs out (:class:`IterationLimit`).
+"""
 
 
 class ArotnepError(Exception):
@@ -6,49 +11,19 @@ class ArotnepError(Exception):
 
 
 class ParseError(ArotnepError):
-    """A dataset or config file could not be parsed."""
+    """A dataset, study or plan file could not be read or parsed."""
 
 
 class ValidationError(ArotnepError):
-    """Structurally valid input violates a model invariant."""
-
-
-class DomainError(ArotnepError):
-    """A numeric argument is outside its admissible domain."""
-
-
-class DimensionMismatch(ArotnepError):
-    """Array shapes are inconsistent with the target model."""
+    """Input violates a model invariant: a value outside its domain, array
+    shapes that disagree, or a covariance that is not positive definite."""
 
 
 class NumericalError(ArotnepError):
-    """The LP solver failed to make progress (cycling or ill-conditioning)."""
-
-
-class NodeLimitExceeded(ArotnepError):
-    """Branch and bound exhausted its node budget before proving optimality."""
-
-
-class NotPositiveDefinite(ArotnepError):
-    """Cholesky factorization failed; the matrix is not positive definite.
-
-    ``index`` is the 0-based leading minor at which the failure occurred.
-    """
-
-    def __init__(self, index: int, message: str | None = None):
-        self.index = index
-        super().__init__(message or f"matrix is not positive definite (leading minor {index})")
+    """A solver made no progress (cycling, ill-conditioning) or ended an LP
+    in a status the model rules out."""
 
 
 class IterationLimit(ArotnepError):
-    """An iterative scheme hit its iteration cap before converging."""
-
-
-class MasterInfeasible(ArotnepError):
-    """The investment master problem is infeasible; this indicates a dataset
-    bug because load shedding keeps operation feasible for any build plan."""
-
-
-class InfeasibleOperation(ArotnepError):
-    """The operational dispatch problem is infeasible; this indicates a
-    dataset bug because shedding up to the full demand is always allowed."""
+    """An iterative scheme (the worst-case ascent or branch and bound) hit
+    its cap before converging."""

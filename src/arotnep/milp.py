@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NodeLimitExceeded, NumericalError, ValidationError
+from .errors import IterationLimit, NumericalError, ValidationError
 from .simplex import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -94,7 +94,7 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
 
     The answer is the incumbent node's LP solution as found: its binaries
     are integral to within ``_INT_TOL`` (1e-6), so callers round them.
-    Raises :class:`NodeLimitExceeded` when ``node_limit`` LP nodes were
+    Raises :class:`IterationLimit` when ``node_limit`` LP nodes were
     solved without proving optimality.
     """
     problem.validate()
@@ -145,7 +145,7 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
             continue
         for fix in (0.0, 1.0):
             if nodes >= node_limit:
-                raise NodeLimitExceeded(
+                raise IterationLimit(
                     f"branch and bound stopped after {nodes} LP nodes")
             lo = node.lower.copy()
             up = node.upper.copy()

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 
 SCHEMA_VERSION = 1
 LINE_EXISTING = "existing"
@@ -383,9 +383,9 @@ def annualize_costs(net: Network, return_period_years: float,
     and must be positive.
     """
     if return_period_years <= 0.0:
-        raise DomainError("return_period_years must be positive")
+        raise ValidationError("return_period_years must be positive")
     if not 0.0 < discount_rate <= 1.0:
-        raise DomainError("discount_rate must lie in (0, 1]")
+        raise ValidationError("discount_rate must lie in (0, 1]")
     hours = net.weighting_factor_hours
     lines = tuple(
         replace(ln, build_cost=ln.build_cost * discount_rate) if ln.status == LINE_CANDIDATE

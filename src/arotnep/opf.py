@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleOperation, ValidationError
+from .errors import NumericalError, ValidationError
 from .network import LINE_EXISTING, Line, Network
 from .simplex import LinearProgram, solve_lp
 # Not called here: perfbench/tracer.py times check_kkt under this module.
@@ -132,9 +132,9 @@ def dispatch_block(net: Network, lines: list[Line], d: np.ndarray,
 
 def solve_opf(net: Network, d: np.ndarray | None = None,
               built=frozenset()) -> OPFSolution:
-    """Minimum-cost dispatch; raises :class:`InfeasibleOperation` only if the
-    model invariant (shedding keeps every instance feasible) is broken by
-    inconsistent data."""
+    """Minimum-cost dispatch; raises :class:`NumericalError` only if the
+    LP ends in a status the model rules out (shedding keeps every instance
+    feasible and every column is bounded)."""
     if d is None:
         d = net.nominal_uncertain()
     d = np.atleast_1d(np.asarray(d, dtype=float))
@@ -152,7 +152,7 @@ def solve_opf(net: Network, d: np.ndarray | None = None,
     sol = solve_lp(LinearProgram(cost, a_eq=a_eq, b_eq=b_eq,
                                  lower=lower, upper=upper))
     if sol.status != "optimal":
-        raise InfeasibleOperation(
+        raise NumericalError(
             f"dispatch LP ended {sol.status}; network data violates the "
             "shedding feasibility invariant")
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -104,13 +104,13 @@ class LinearProgram:
         n = self.n_vars
         for name, mat, rhs in (("a_eq", self.a_eq, self.b_eq), ("a_ub", self.a_ub, self.b_ub)):
             if mat.shape[1] != n:
-                raise DimensionMismatch(f"{name} has {mat.shape[1]} columns, expected {n}")
+                raise ValidationError(f"{name} has {mat.shape[1]} columns, expected {n}")
             if mat.shape[0] != rhs.size:
-                raise DimensionMismatch(f"{name} has {mat.shape[0]} rows but rhs has {rhs.size}")
+                raise ValidationError(f"{name} has {mat.shape[0]} rows but rhs has {rhs.size}")
             if not np.all(np.isfinite(mat)) or not np.all(np.isfinite(rhs)):
                 raise ValidationError(f"nonfinite coefficient in {name} block")
         if self.lower.size != n or self.upper.size != n:
-            raise DimensionMismatch("bound vectors must match the variable count")
+            raise ValidationError("bound vectors must match the variable count")
         if not np.all(np.isfinite(self.objective)):
             raise ValidationError("nonfinite objective coefficient")
         for what, bad in (("NaN bound", np.isnan(self.lower) | np.isnan(self.upper)),

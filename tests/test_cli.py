@@ -148,15 +148,6 @@ def test_build_uncertainty_checks_lengths_and_ids(tmp_path, twobus):
         build_uncertainty(cfg2, twobus)
 
 
-def test_std_scale_shrinks_spread(tmp_path, twobus):
-    doc = base_twobus_study()
-    doc["uncertainty"]["std_scale"] = 0.1
-    cfg = load_study_config(write_study(tmp_path, doc))
-    es = build_uncertainty(cfg, twobus)
-    np.testing.assert_allclose(np.sqrt(np.diag(es.covariance)), [2.0, 0.5],
-                               rtol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # plan command
 
@@ -222,6 +213,40 @@ def test_plan_bad_config_exits_config_code(tmp_path, capsys):
                                         "discount_rate": 0.0})
     cfg2 = write_study(tmp_path, doc2, "bad_rate.json")
     assert main(["plan", "--config", str(cfg2)]) == 4
+
+
+@pytest.mark.parametrize("block", [None, "simulation"])
+def test_plan_negative_seed_exits_config_code(tmp_path, capsys, block):
+    doc = base_twobus_study()
+    (doc if block is None else doc[block])["seed"] = -1
+    cfg_path = write_study(tmp_path, doc)
+    assert main(["plan", "--config", str(cfg_path)]) == 4
+    key = "study: seed" if block is None else f"study.{block}: seed"
+    assert f"error: {key} must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_plan_non_positive_definite_correlation_exits_config_code(tmp_path, capsys):
+    doc = json.loads(study_path("garver6_study").read_text())
+    doc["network"] = str(dataset_path("garver6"))
+    doc["output_dir"] = "out"
+    doc["uncertainty"]["correlations"] = [
+        {"a": "G1", "b": "G3", "rho": 0.9},
+        {"a": "G1", "b": "G6", "rho": 0.9},
+        {"a": "G3", "b": "G6", "rho": -0.9},
+    ]
+    cfg_path = write_study(tmp_path, doc)
+    assert main(["plan", "--config", str(cfg_path)]) == 4
+    assert "not positive definite (leading minor 2)" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "plan.json").exists()
+
+
+def test_plan_zero_discount_rate_names_the_key(tmp_path, capsys):
+    doc = base_twobus_study(annualize={"return_period_years": 25,
+                                       "discount_rate": 0.0})
+    cfg_path = write_study(tmp_path, doc)
+    assert main(["plan", "--config", str(cfg_path)]) == 4
+    assert "discount_rate" in capsys.readouterr().err
 
 
 def test_plan_unreadable_config_exits_io(tmp_path):

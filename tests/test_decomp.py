@@ -187,6 +187,21 @@ def test_inner_iteration_limit_raises(onebus):
         worst_case_cost(onebus, es, max_iter=1, starts=2, seed=0)
 
 
+def test_inner_rejects_sweep_cap_below_one(onebus):
+    es = EllipsoidalSet.from_std_and_correlation(
+        onebus.nominal_uncertain(), np.array([80.0, 6.0]), np.eye(2), 1.0,
+        signs=onebus.uncertain_signs())
+    for cap in (0, -1):
+        with pytest.raises(ValidationError, match="max_iter must be at least 1"):
+            inner_solve(onebus, es, max_iter=cap)
+    # One sweep is too few here, but the result still prices its point.
+    res = inner_solve(onebus, es, max_iter=1)
+    assert not res.converged and res.iterations == 1
+    assert res.history == [res.worst_cost]
+    assert res.worst_cost == pytest.approx(
+        solve_opf(onebus, d=res.worst_point).objective, rel=1e-12)
+
+
 def test_inner_dimension_mismatch_rejected(onebus):
     es = EllipsoidalSet(np.array([50.0]), np.array([[4.0]]), 1.0)
     with pytest.raises(ValidationError):
@@ -211,7 +226,7 @@ def test_inner_flat_cost_reports_zero_gradient(onebus):
         signs=free.uncertain_signs())
     res = inner_solve(free, es)
     assert res.converged
-    assert res.zero_gradient
+    assert res.iterations == 1  # stopped on the zero gradient, not a repeat sweep
     assert res.worst_cost == pytest.approx(0.0, abs=1e-12)
 
 
@@ -222,7 +237,6 @@ def test_inner_flat_cost_reports_zero_gradient(onebus):
 def test_master_empty_scenarios_is_no_build(twobus):
     res = solve_master(twobus, [])
     assert res.built == frozenset()
-    assert res.x == {"C1-2a": 0}
     assert res.gamma == 0.0
     assert res.objective == 0.0
 
@@ -265,7 +279,7 @@ def test_master_budget_excludes_unaffordable_line(twobus):
 def test_master_builds_first_of_identical_candidates():
     net = parallel_pair_network()
     res = solve_master(net, [net.nominal_uncertain()])
-    assert res.x == {"C1-2a": 1, "C1-2b": 0}
+    assert res.built == frozenset({"C1-2a"})
     assert res.investment == pytest.approx(10.0)
 
 
@@ -404,10 +418,9 @@ def test_outer_repeated_worst_point_stalls(monkeypatch, twobus):
     point = np.array([150.0, 70.0])
     fake_inner = InnerResult(worst_cost=100.0, worst_point=point,
                              dispatch=None, iterations=1, converged=True,
-                             zero_gradient=False, history=[100.0])
-    fake_master = MasterResult(built=frozenset(), x={"C1-2a": 0}, gamma=90.0,
-                               investment=0.0, objective=90.0, nodes=0,
-                               gap=0.0)
+                             history=[100.0])
+    fake_master = MasterResult(built=frozenset(), gamma=90.0,
+                               investment=0.0, objective=90.0, nodes=0)
     monkeypatch.setattr(dc, "worst_case_cost", lambda *a, **k: fake_inner)
     monkeypatch.setattr(dc, "solve_master", lambda *a, **k: fake_master)
     plan = dc.outer_solve(twobus, twobus_set(1.0))

@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from arotnep.errors import NodeLimitExceeded, ValidationError
+from arotnep.errors import IterationLimit, ValidationError
 from arotnep.milp import MILPProblem, solve_milp
 from arotnep.simplex import LinearProgram, solve_lp
 from oracles import milp_enumerate_optimum
@@ -51,7 +51,7 @@ def test_node_limit_raises():
     a = rng.uniform(0.5, 1.5, (1, n))
     lp = LinearProgram(c, a_ub=a, b_ub=[float(a.sum()) / 2.0],
                        lower=np.zeros(n), upper=np.ones(n))
-    with pytest.raises(NodeLimitExceeded):
+    with pytest.raises(IterationLimit, match="branch and bound stopped after 2 LP nodes"):
         solve_milp(MILPProblem(lp, np.arange(n)), node_limit=2)
 
 
@@ -100,7 +100,7 @@ def test_matches_enumeration_on_random_mixed_instances(seed):
     ref_status, ref_obj, _ = milp_enumerate_optimum(problem)
     try:
         sol = solve_milp(problem)
-    except NodeLimitExceeded:  # pragma: no cover - instances are tiny
+    except IterationLimit:  # pragma: no cover - instances are tiny
         pytest.fail("node limit on a tiny instance")
     assert sol.status == ref_status
     if ref_status == "optimal":

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from arotnep.datasets import dataset_names, dataset_path, load_dataset
-from arotnep.errors import DomainError, ParseError, ValidationError
+from arotnep.errors import ParseError, ValidationError
 from arotnep.network import (
     annualize_costs,
     load_network,
@@ -187,9 +187,9 @@ def test_annualize_scales_build_and_operating_costs(garver):
 
 
 def test_annualize_rejects_bad_rates(garver):
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="return_period_years must be positive"):
         annualize_costs(garver, return_period_years=0.0, discount_rate=0.1)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="discount_rate must lie in"):
         annualize_costs(garver, return_period_years=25.0, discount_rate=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError, match="discount_rate must lie in"):
         annualize_costs(garver, return_period_years=25.0, discount_rate=1.5)

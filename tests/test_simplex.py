@@ -231,10 +231,8 @@ def test_validate_rejects_crossed_bounds(lower, upper):
 
 
 def test_validate_rejects_shape_mismatch():
-    from arotnep.errors import DimensionMismatch
-
     lp = LinearProgram([1.0, 2.0], a_eq=[[1.0]], b_eq=[1.0])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="a_eq has 1 columns, expected 2"):
         solve_lp(lp)
 
 

@@ -92,6 +92,8 @@ def worst_case_cost(net: Network, es: EllipsoidalSet, built=frozenset(), *,
     one-sigma corner, the mean, and seeded random boundary points."""
     if starts < 1:
         raise ValidationError("starts must be at least 1")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     start_points: list[np.ndarray | None] = [None]
     if starts >= 2:
         start_points.append(es.mean.copy())

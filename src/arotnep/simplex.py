@@ -6,22 +6,41 @@ with every lower bound finite (upper bounds may be ``+inf``). Any other
 input, a non-finite lower bound included, raises :class:`ValidationError`.
 
 The solver is deliberately self-contained: two-phase primal simplex over
-bounded variables, an explicit basis inverse with periodic refactorization,
-Dantzig pricing with a switch to Bland's rule once a degeneracy counter
-trips, and a bounded dual simplex used to warm-start from a dual-feasible
-basis after bound changes (the branch-and-bound layer relies on this).
-Cold and warm solves end alike: a primal polish that refactors and
-re-prices until the optimum is clean, then extraction.
+bounded variables, a basis inverse with periodic refactorization, Dantzig
+pricing with a switch to Bland's rule once a degeneracy counter trips, and
+a bounded dual simplex used to warm-start from a dual-feasible basis after
+bound changes (the branch-and-bound layer relies on this). Cold and warm
+solves end alike: a primal polish that refactors and re-prices until the
+optimum is clean, then extraction.
 
 Basic slacks and artificials are signed unit columns, so a refactorization
 inverts only the structural kernel of the basis (its structural columns on
-the rows no unit column covers) and fills the rest of the inverse in block
-form (a garver6 master basis has 807 rows, its kernel a median of 273).
-Primal, dual and phase-1 pivots all go through one basis change,
-:meth:`_Simplex._pivot`: it moves the basic values along the entering
-column, puts the leaving variable on its bound and updates the inverse in
-place by a rank-one product-form step. Only a refactorization recomputes
-the basic values from scratch.
+the rows no unit column covers). Primal, dual and phase-1 pivots all go
+through one basis change, :meth:`_Simplex._pivot`: it moves the basic
+values along the entering column, puts the leaving variable on its bound
+and updates the inverse. Only a refactorization recomputes the basic values
+from scratch. The inverse takes one of two forms, chosen once per LP from
+its row count:
+
+* up to ``_DENSE_MAX_ROWS`` rows (a dispatch LP has 13) a dense ``B^-1``,
+  filled in block form from the kernel inverse and updated in place by a
+  rank-one product-form step;
+* above it (a garver6 master has 225 to 807 rows, its kernel a median of
+  273) the kernel pieces themselves plus an eta file, the product form of
+  the inverse (Dantzig & Orchard-Hays, 1954): a pivot appends one eta
+  column instead of an O(m^2) update, FTRAN (``B^-1 a``) and BTRAN
+  (``u B^-1``) go through the kernel and then the etas, and products with
+  the constraint matrix use its structural nonzeros and take the slack and
+  artificial columns as the unit columns they are.
+
+On master MILPs the kernel form costs more below about 145 rows and less
+above about 180, which places the cutoff. An eta file drifts between
+refactorizations. So before a pivot through a non-empty eta file the
+solver refactors and redoes the iteration when the pivot element is tiny
+next to its column or, in the dual simplex, disagrees with the same
+element of the pivot row (BTRAN against FTRAN); and a non-finite basic
+value after a kernel-form pivot raises :class:`NumericalError` (a warm
+start then falls back to a cold solve).
 
 Dual sign convention
 --------------------
@@ -53,6 +72,9 @@ _AT_UPPER = 2
 
 _REFACTOR_PERIOD = 100
 _BLAND_TRIP = 40
+# Bases with more rows keep the kernel-form inverse, smaller ones a dense
+# one (see the module docstring for the measured crossover).
+_DENSE_MAX_ROWS = 170
 
 _log = logging.getLogger(__name__)
 
@@ -177,6 +199,16 @@ class _Simplex:
         self.basis = np.zeros(m, dtype=np.int64)
         self.stat = np.full(self.n_total, _AT_LOWER, dtype=np.int8)
         self.x = np.zeros(self.n_total)
+        self.dense = m <= _DENSE_MAX_ROWS
+        self.n_etas = 0
+        if not self.dense:
+            # Structural nonzeros: the kernel form multiplies by A through them.
+            rows, cols = A[:, :n].nonzero()
+            self._nz = (rows, cols, A[rows, cols])
+            # Eta file (see _add_eta); a refactorization empties it.
+            self._eta_k = np.zeros(0, dtype=np.int64)
+            self._eta_w = np.zeros((0, m))
+            self._eta_tri = self._eta_tri_inv = np.zeros((0, 0))
         self.iterations = 0
         self.max_iter = 200 * (m + n) + 2000
         bscale = float(np.max(np.abs(self.b))) if m else 0.0
@@ -190,7 +222,9 @@ class _Simplex:
         With ``S`` the basis positions of unit columns, ``rows_s`` their
         rows, ``K`` the structural positions and ``R`` the rows no unit
         column covers, the basis is block triangular and only the kernel
-        ``A[R, basis[K]]`` needs a dense inverse."""
+        ``A[R, basis[K]]`` needs a dense inverse.  A dense-form basis
+        assembles the full inverse from it; a kernel-form one keeps the
+        pieces and starts an empty eta file."""
         basis = self.basis
         rows = self._unit_row[basis]
         unit = rows >= 0
@@ -209,29 +243,155 @@ class _Simplex:
             minv = np.linalg.inv(self.A[R[:, None], cols_k])
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular basis during refactorization") from exc
-        binv = np.zeros((self.m, self.m))
-        binv[K[:, None], R] = minv
-        binv[S[:, None], R] = (self.A[rows_s[:, None], cols_k] @ minv) / -sign[:, None]
-        binv[S, rows_s] = 1.0 / sign
-        self.binv = binv
+        if self.dense:
+            binv = np.zeros((self.m, self.m))
+            binv[K[:, None], R] = minv
+            binv[S[:, None], R] = (self.A[rows_s[:, None], cols_k] @ minv) / -sign[:, None]
+            binv[S, rows_s] = 1.0 / sign
+            self.binv = binv
+        else:
+            # Nonzeros of the basic structural columns, by basis position.
+            rows, cols, vals = self._nz
+            pos = np.full(self.n, -1)
+            pos[cols_k] = np.arange(K.size)
+            sel = pos[cols] >= 0
+            self._kernel = (K, R, S, rows_s, sign, minv, (rows[sel], pos[cols[sel]], vals[sel]))
+            self.n_etas = 0
         self._recompute_basic_values()
+
+    def _ftran(self, a: np.ndarray) -> np.ndarray:
+        """``B^-1 a``: the kernel, then the unit rows, then the etas in order."""
+        if self.dense:
+            return self.binv @ a
+        K, R, S, rows_s, sign, minv, (rows, pos, vals) = self._kernel
+        v = np.empty(self.m)
+        v[K] = x_k = minv @ a[R]
+        a_k_x = np.bincount(rows, weights=vals * x_k[pos], minlength=self.m)
+        v[S] = (a[rows_s] - a_k_x[rows_s]) / sign
+        if self.n_etas:
+            ks, w, tri, tri_inv = self._eta_file()
+            b = v[ks]
+            t = tri_inv @ b
+            t += tri_inv @ (b - tri @ t)
+            v -= t @ w
+            v += np.bincount(ks, weights=t, minlength=self.m)
+        return v
+
+    def _btran(self, u: np.ndarray) -> np.ndarray:
+        """``u @ B^-1``: the etas in reverse, then the unit rows, then the kernel."""
+        if self.dense:
+            return self.binv.T @ u
+        K, R, S, rows_s, sign, minv, (rows, pos, vals) = self._kernel
+        if self.n_etas:
+            ks, w, tri, tri_inv = self._eta_file()
+            g = w @ u - u[ks]
+            s = g @ tri_inv
+            s += (g - s @ tri) @ tri_inv
+            u = u - np.bincount(ks, weights=s, minlength=self.m)
+        y = np.zeros(self.m)
+        y[rows_s] = u[S] / sign
+        y[R] = (u[K] - np.bincount(pos, weights=vals * y[rows], minlength=K.size)) @ minv
+        return y
+
+    def _row(self, k: int) -> np.ndarray:
+        """Row ``k`` of ``B^-1``."""
+        if self.dense:
+            return self.binv[k]
+        e = np.zeros(self.m)
+        e[k] = 1.0
+        return self._btran(e)
+
+    def _unit_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and sign of each slack and artificial column."""
+        rows = self._unit_row[self.n:]
+        return rows, self.A[rows, np.arange(self.n, self.n_total)]
+
+    def _times_a(self, v: np.ndarray) -> np.ndarray:
+        """``v @ A``; the kernel form goes through the structural nonzeros
+        and takes the slack and artificial columns as signed unit columns."""
+        if self.dense:
+            return v @ self.A
+        rows, cols, vals = self._nz
+        unit_rows, signs = self._unit_columns()
+        return np.concatenate([np.bincount(cols, weights=v[rows] * vals, minlength=self.n),
+                               v[unit_rows] * signs])
+
+    def _a_times(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x``, formed like :meth:`_times_a`."""
+        if self.dense:
+            return self.A @ x
+        rows, cols, vals = self._nz
+        unit_rows, signs = self._unit_columns()
+        return (np.bincount(rows, weights=vals * x[cols], minlength=self.m)
+                + np.bincount(unit_rows, weights=signs * x[self.n:], minlength=self.m))
 
     def _recompute_basic_values(self) -> None:
         xfull = self.x.copy()
         xfull[self.basis] = 0.0
-        resid = self.b - self.A @ xfull
-        self.x[self.basis] = self.binv @ resid
+        resid = self.b - self._a_times(xfull)
+        self.x[self.basis] = self._ftran(resid)
 
-    def _update_binv(self, w: np.ndarray, k: int) -> None:
-        row = self.binv[k] / w[k]
-        self.binv -= np.outer(w, row)
-        self.binv[k] = row
+    def _update_inverse(self, w: np.ndarray, k: int) -> None:
+        """Column ``k`` of the basis becomes the column whose ``B^-1`` image
+        is ``w``: a rank-one update of a dense inverse, one more eta for a
+        kernel-form one."""
+        if self.dense:
+            row = self.binv[k] / w[k]
+            self.binv -= np.outer(w, row)
+            self.binv[k] = row
+        else:
+            self._add_eta(k, w)
 
-    def _duals(self, c: np.ndarray) -> np.ndarray:
-        return self.binv.T @ c[self.basis]
+    def _add_eta(self, k: int, w: np.ndarray) -> None:
+        """Append ``E_p``, the identity with column ``k`` replaced by ``w``.
+
+        Applying ``E_1^-1 .. E_p^-1`` one by one (``t = v_k / w_k``,
+        ``v -= w t``, ``v_k = t``) is a triangular recurrence in the ``t``:
+        with ``d_i = w_i - e_{k_i}``, ``L[i, j] = d_j[k_i]`` below the
+        diagonal and ``L[i, i] = w_i[k_i]``, FTRAN is ``t = L^-1 v[ks]``,
+        ``v -= D' t`` and BTRAN is ``s = L^-T D u``, ``u -= P' s``.  The
+        file keeps ``L`` and ``L^-1``, each growing by one row per eta;
+        one refinement step against ``L`` keeps both transforms as accurate
+        as applying the etas one at a time."""
+        p = self.n_etas
+        if p == self._eta_k.size:
+            grow = max(p, _REFACTOR_PERIOD)
+            ks, ws, tri, tri_inv = self._eta_file()
+            self._eta_k = np.pad(ks, (0, grow))
+            self._eta_w = np.pad(ws, ((0, grow), (0, 0)))
+            self._eta_tri = np.pad(tri, (0, grow))
+            self._eta_tri_inv = np.pad(tri_inv, (0, grow))
+        ks, ws, tri, tri_inv = self._eta_k, self._eta_w, self._eta_tri, self._eta_tri_inv
+        tri[p, :p] = ws[:p, k] - (ks[:p] == k)
+        tri[p, p] = w[k]
+        tri_inv[p, :p] = (tri[p, :p] @ tri_inv[:p, :p]) / -w[k]
+        tri_inv[p, p] = 1.0 / w[k]
+        tri[:p, p] = tri_inv[:p, p] = 0.0
+        ks[p], ws[p] = k, w
+        self.n_etas = p + 1
+
+    def _eta_file(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Pivot positions, eta columns, ``L`` and ``L^-1`` of the live etas."""
+        p = self.n_etas
+        return (self._eta_k[:p], self._eta_w[:p], self._eta_tri[:p, :p],
+                self._eta_tri_inv[:p, :p])
+
+    def _drifted(self, w: np.ndarray, k: int, alpha_k: float | None = None) -> bool:
+        """Whether a non-empty eta file has drifted too far to pivot on
+        ``w[k]``: the element disagrees with ``alpha_k``, the same element
+        taken from the pivot row, or is tiny next to its column.  The caller
+        then refactors and redoes the iteration; a dense inverse or a fresh
+        refactorization is taken as it is."""
+        if alpha_k is not None and abs(w[k] - alpha_k) > 1e-9 * (1.0 + abs(alpha_k)):
+            return True
+        return abs(w[k]) <= 1e-9 * float(np.max(np.abs(w)))
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        return c - self.A.T @ self._duals(c)
+        # Dense-form products stay inline here and in _primal_step: dispatch
+        # LPs are solved thousands of times, so they skip the helper calls.
+        if self.dense:
+            return c - self.A.T @ (self.binv.T @ c[self.basis])
+        return c - self._times_a(self._btran(c[self.basis]))
 
     def _pivot(self, k: int, q: int, w: np.ndarray, delta: float, at_upper: bool) -> None:
         """Basis change: ``x_q`` enters at position ``k`` after moving by
@@ -245,7 +405,9 @@ class _Simplex:
         self.stat[p] = _AT_UPPER if at_upper else _AT_LOWER
         self.stat[q] = _BASIC
         self.basis[k] = q
-        self._update_binv(w, k)
+        self._update_inverse(w, k)
+        if not self.dense and not np.all(np.isfinite(self.x[self.basis])):
+            raise NumericalError("non-finite basic values after a pivot")
 
     # -- primal simplex ---------------------------------------------------------
 
@@ -264,7 +426,7 @@ class _Simplex:
         return q, (1 if self.stat[q] == _AT_LOWER else -1)
 
     def _primal_step(self, q: int, direction: int):
-        w = self.binv @ self.A[:, q]
+        w = self.binv @ self.A[:, q] if self.dense else self._ftran(self.A[:, q])
         weff = direction * w
         xb = self.x[self.basis]
         lb = self.lower[self.basis]
@@ -287,6 +449,10 @@ class _Simplex:
                 k_best = int(ties[np.argmax(np.abs(weff[ties]))])
                 t_best = t_min
                 hit_upper = bool(t_neg[k_best] <= t_pos[k_best])
+
+        if self.n_etas and k_best >= 0 and self._drifted(w, k_best):
+            self._refactor()
+            return "refactored", 0.0
 
         span = self.upper[q] - self.lower[q]
         if span < t_best:
@@ -316,6 +482,9 @@ class _Simplex:
             outcome, step = self._primal_step(q, direction)
             if outcome == "unbounded":
                 return STATUS_UNBOUNDED
+            if outcome == "refactored":
+                since_refactor = 0
+                continue
             self.iterations += 1
             since_refactor += 1
             if step <= 1e-11:
@@ -373,12 +542,12 @@ class _Simplex:
             p = int(self.basis[k])
             if p not in art_set:
                 continue
-            row = self.binv[k, :] @ self.A[:, : self.n + self.n_slack]
+            row = self._times_a(self._row(k))[: self.n + self.n_slack]
             row[self.stat[: self.n + self.n_slack] == _BASIC] = 0.0
             j = int(np.argmax(np.abs(row)))
             if abs(row[j]) <= 1e-7:
                 continue  # redundant row; artificial stays basic at zero
-            self._pivot(k, j, self.binv @ self.A[:, j], 0.0, False)
+            self._pivot(k, j, self._ftran(self.A[:, j]), 0.0, False)
 
     # -- dual simplex (warm starts) --------------------------------------------
 
@@ -403,7 +572,7 @@ class _Simplex:
             below = low_viol[k] >= up_viol[k]
 
             r = self._reduced_costs(c)
-            alpha = self.binv[k, :] @ self.A
+            alpha = self._times_a(self._row(k))
             span_ok = self.upper - self.lower > 0.0
             if below:
                 ok_low = (self.stat == _AT_LOWER) & span_ok & (alpha < -1e-9)
@@ -422,7 +591,11 @@ class _Simplex:
                 sub = eligible[best]
                 q = int(sub[np.argmax(np.abs(alpha[sub]))])
 
-            w = self.binv @ self.A[:, q]
+            w = self._ftran(self.A[:, q])
+            if self.n_etas and self._drifted(w, k, alpha[q]):
+                self._refactor()
+                since_refactor = 0
+                continue
             bound = lb[k] if below else ub[k]
             self._pivot(k, q, w, (xb[k] - bound) / w[k], not below)
             self.iterations += 1
@@ -445,8 +618,8 @@ class _Simplex:
         refactorized."""
         if status != STATUS_OPTIMAL:
             return LPSolution(status=status, iterations=self.iterations)
-        y = self._duals(self.c)
-        r_all = self.c - self.A.T @ y
+        y = self._btran(self.c[self.basis])
+        r_all = self.c - self._times_a(y)
         n = self.n
         x = self.x[:n].copy()
         return LPSolution(status=STATUS_OPTIMAL, x=x, objective=float(self.c[:n] @ x),

@@ -187,6 +187,16 @@ def test_inner_iteration_limit_raises(onebus):
         worst_case_cost(onebus, es, max_iter=1, starts=2, seed=0)
 
 
+def test_negative_seed_is_a_validation_error(onebus):
+    es = EllipsoidalSet.from_std_and_correlation(
+        onebus.nominal_uncertain(), np.array([10.0, 5.0]), np.eye(2), 1.0,
+        signs=onebus.uncertain_signs())
+    with pytest.raises(ValidationError, match="seed"):
+        worst_case_cost(onebus, es, seed=-1)
+    with pytest.raises(ValidationError, match="seed"):
+        outer_solve(onebus, es, seed=-1)
+
+
 def test_inner_rejects_sweep_cap_below_one(onebus):
     es = EllipsoidalSet.from_std_and_correlation(
         onebus.nominal_uncertain(), np.array([80.0, 6.0]), np.eye(2), 1.0,
@@ -301,7 +311,7 @@ def highs_master(problem, exclude=None):
                 bounds=Bounds(lp.lower, lp.upper), options={"mip_rel_gap": 1e-10})
 
 
-@pytest.mark.parametrize("n_scen", [1, 2, 3])
+@pytest.mark.parametrize("n_scen", [1, 2, 3, 4])
 def test_master_matches_highs_on_garver_study(n_scen, monkeypatch):
     pytest.importorskip("scipy")
     cfg = load_study_config(study_path("garver6_study"))

@@ -17,6 +17,11 @@ LP duals: for a capacity it is the reduced cost of its generator when negative
 (zero otherwise); for a load it is the balance price of its bus plus the
 reduced cost of its shed when negative. That gradient is what the
 worst-case search feeds to the uncertainty set.
+
+Because the matrix and costs are fixed for a plan, one optimal basis prices
+every realization whose basic values stay within bounds:
+:func:`dispatch_piece` turns a basis into a :class:`DispatchPiece`, which
+Monte Carlo validation uses to price its draws in batches.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import simplex
 from .errors import NumericalError, ValidationError
 from .network import LINE_EXISTING, Line, Network
-from .simplex import LinearProgram, solve_lp
+from .simplex import _AT_UPPER, BasisState, LinearProgram
 # Not called here: perfbench/tracer.py times check_kkt under this module.
 from .simplex import check_kkt  # noqa: F401
 
@@ -58,6 +64,7 @@ class OPFSolution:
     angle: np.ndarray
     eta: np.ndarray
     clipped: int
+    basis: BasisState
 
 
 def active_lines(net: Network, built) -> list[Line]:
@@ -130,6 +137,91 @@ def dispatch_block(net: Network, lines: list[Line], d: np.ndarray,
     return cost, a_eq, b_eq, lower, upper
 
 
+@dataclass(frozen=True)
+class DispatchPiece:
+    """The optimal dispatch over the critical region of one basis.
+
+    With the nonbasic columns held at their bounds, the basic values and the
+    cost are affine in the clipped realization ``d`` (one per row):
+    ``x_B(d) = x0 + d @ grad_x`` and ``cost(d) = c0 + d @ grad_c``.  The
+    matrix and costs do not depend on ``d``, so a basis whose bound statuses
+    follow its reduced-cost signs is dual feasible for every ``d``, and
+    optimal wherever ``lower_b <= x_B(d) <= upper0 + d @ grad_u`` (a basic
+    generation or shed is bounded by its capacity or load).
+    """
+
+    x0: np.ndarray
+    grad_x: np.ndarray
+    lower_b: np.ndarray
+    upper0: np.ndarray
+    grad_u: np.ndarray
+    grad_b: np.ndarray  # the LP's right-hand side is d @ grad_b
+    c0: float
+    grad_c: np.ndarray
+
+    def price(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Costs of the rows of ``d``, and which of them the piece certifies:
+        those whose basic values lie within bounds to the simplex's primal
+        tolerance ``1e-9 * (1 + max|b(d)|)``."""
+        x_b = self.x0 + d @ self.grad_x
+        tol = 1e-9 * (1.0 + np.max(np.abs(d @ self.grad_b), axis=1, keepdims=True))
+        ok = ((x_b >= self.lower_b - tol)
+              & (x_b <= self.upper0 + d @ self.grad_u + tol)).all(axis=1)
+        return self.c0 + d @ self.grad_c, ok
+
+
+def dispatch_piece(net: Network, built, state: BasisState) -> DispatchPiece:
+    """The :class:`DispatchPiece` of ``state``, an optimal basis of a
+    dispatch LP of ``built``.
+
+    Each nonbasic column is first put at the bound its reduced cost picks
+    (lower when positive, upper when negative, as it was when near zero).
+    The solver leaves a column with equal bounds, such as a capacity clipped
+    to zero, at either one, and the piece would misprice every ``d`` that
+    separates them.
+    """
+    lines = active_lines(net, built)
+    n_unc = net.n_uncertain
+    n_gen = len(net.generators)
+    cost, a_eq, _, lower, upper = dispatch_block(net, lines, np.zeros(n_unc),
+                                                 [True] * len(lines))
+    m, n = a_eq.shape
+    # d is the upper bound of the first n_unc columns, and each load is
+    # also the right-hand side of the balance row its shed column sits on.
+    grad_b = np.zeros((n_unc, m))
+    grad_b[n_gen:] = a_eq[:, n_gen:n_unc].T
+
+    # A basic artificial (column n + i) is the unit column of row i, fixed
+    # at zero; its sign does not change the other basic values.
+    basis = state.basis
+    art = basis >= n
+    b_mat = np.zeros((m, m))
+    b_mat[:, ~art] = a_eq[:, basis[~art]]
+    b_mat[basis[art] - n, art.nonzero()[0]] = 1.0
+    binv = np.linalg.inv(b_mat)
+    pad = np.zeros(m)
+    c_b = np.concatenate([cost, pad])[basis]
+
+    nonbasic = np.ones(n, dtype=bool)
+    nonbasic[basis[~art]] = False
+    r = cost - (c_b @ binv) @ a_eq
+    tol_d = 1e-9 * (1.0 + float(np.max(np.abs(cost))))
+    at_upper = nonbasic & np.where(np.abs(r) > tol_d, r < 0.0,
+                                   state.status[:n] == _AT_UPPER)
+    x_n0 = np.where(nonbasic, np.where(at_upper, upper, lower), 0.0)
+    x0 = binv @ -(a_eq @ x_n0)
+    grad_x = (grad_b - (a_eq[:, :n_unc] * at_upper[:n_unc]).T) @ binv.T
+    grad_u = np.zeros((n_unc, m))
+    bounded = (basis < n_unc).nonzero()[0]
+    grad_u[basis[bounded], bounded] = 1.0
+    return DispatchPiece(
+        x0=x0, grad_x=grad_x,
+        lower_b=np.concatenate([lower, pad])[basis],
+        upper0=np.concatenate([upper, pad])[basis], grad_u=grad_u,
+        grad_b=grad_b, c0=float(c_b @ x0 + cost @ x_n0),
+        grad_c=grad_x @ c_b + cost[:n_unc] * at_upper[:n_unc])
+
+
 def solve_opf(net: Network, d: np.ndarray | None = None,
               built=frozenset()) -> OPFSolution:
     """Minimum-cost dispatch; raises :class:`NumericalError` only if the
@@ -149,8 +241,8 @@ def solve_opf(net: Network, d: np.ndarray | None = None,
     off_t = off_f + len(lines)
 
     cost, a_eq, b_eq, lower, upper = dispatch_block(net, lines, d, [True] * len(lines))
-    sol = solve_lp(LinearProgram(cost, a_eq=a_eq, b_eq=b_eq,
-                                 lower=lower, upper=upper))
+    sol, state = simplex.solve_lp_with_state(
+        LinearProgram(cost, a_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper))
     if sol.status != "optimal":
         raise NumericalError(
             f"dispatch LP ended {sol.status}; network data violates the "
@@ -173,4 +265,5 @@ def solve_opf(net: Network, d: np.ndarray | None = None,
         angle=x[off_t:].copy(),
         eta=eta,
         clipped=clipped,
+        basis=state,
     )

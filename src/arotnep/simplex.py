@@ -196,6 +196,9 @@ class _Simplex:
 
         # Row of each slack and artificial column; -1 marks structural ones.
         self._unit_row = np.concatenate([np.full(n, -1), slack_rows, np.arange(m)])
+        # Flat positions of their signs in A, read on every product because
+        # phase 1 flips artificial signs.
+        self._unit_flat = self._unit_row[n:] * self.n_total + np.arange(n, self.n_total)
         self.basis = np.zeros(m, dtype=np.int64)
         self.stat = np.full(self.n_total, _AT_LOWER, dtype=np.int8)
         self.x = np.zeros(self.n_total)
@@ -303,8 +306,7 @@ class _Simplex:
 
     def _unit_columns(self) -> tuple[np.ndarray, np.ndarray]:
         """Row and sign of each slack and artificial column."""
-        rows = self._unit_row[self.n:]
-        return rows, self.A[rows, np.arange(self.n, self.n_total)]
+        return self._unit_row[self.n:], self.A.take(self._unit_flat)
 
     def _times_a(self, v: np.ndarray) -> np.ndarray:
         """``v @ A``; the kernel form goes through the structural nonzeros

@@ -10,9 +10,12 @@ import csv
 import numpy as np
 import pytest
 
+from arotnep import montecarlo
+from arotnep.config import build_uncertainty, load_configured_network, load_study_config
+from arotnep.datasets import study_path
 from arotnep.decomp import worst_case_cost
 from arotnep.ellipsoid import EllipsoidalSet
-from arotnep.errors import ValidationError
+from arotnep.errors import NumericalError, ValidationError
 from arotnep.montecarlo import (
     SimulationReport,
     SimulationStudy,
@@ -155,6 +158,68 @@ def test_dimension_mismatch_rejected(onebus):
     study = SimulationStudy(n_samples=10, seed=0, q_star=1.0, radius=1.0)
     with pytest.raises(ValidationError):
         run_simulation(onebus, frozenset(), es, study)
+
+
+@pytest.fixture(scope="module")
+def garver_study():
+    cfg = load_study_config(study_path("garver6_study"))
+    net = load_configured_network(cfg)
+    return net, build_uncertainty(cfg, net)
+
+
+def garver_plans(net):
+    """The bundled plan and two seeded random selections of candidates."""
+    ids = [ln.id for ln in net.candidate_lines]
+    rng = np.random.default_rng(12)
+    return [frozenset({"C2-6a", "C2-6b", "C2-6c", "C3-5a", "C3-5b",
+                       "C4-6a", "C4-6b"})] + [
+        frozenset(rng.choice(ids, size=size, replace=False).tolist())
+        for size in (3, 6)]
+
+
+@pytest.mark.parametrize("plan", range(3))
+@pytest.mark.parametrize("spread", [1.0, 3.0])
+def test_batch_pricing_matches_one_dispatch_lp_per_draw(garver_study, plan, spread):
+    net, es = garver_study
+    built = garver_plans(net)[plan]
+    es = EllipsoidalSet(es.mean, spread**2 * es.covariance, es.radius)
+    draws = sample_scenarios(es, 300, seed=plan)
+    sols = [solve_opf(net, d=d, built=built) for d in draws]
+    want = np.array([sol.objective for sol in sols])
+    # A threshold between two sampled costs, so one-ulp differences in a
+    # cost cannot move the non-exceedance.
+    ordered = np.sort(want)
+    q_star = 0.5 * (ordered[240] + ordered[241])
+    study = SimulationStudy(n_samples=300, seed=plan, q_star=q_star, radius=1.0)
+    report = run_simulation(net, built, es, study)
+    np.testing.assert_allclose(report.costs, want, rtol=1e-9, atol=0.0)
+    assert report.non_exceedance == float(np.sum(want <= q_star)) / 300
+    assert report.clipped_samples == sum(sol.clipped > 0 for sol in sols)
+    assert report.failed_samples == 0
+    if spread > 1.0:
+        assert report.clipped_samples > 0
+
+
+def test_failed_cold_solve_counts_once(garver_study, monkeypatch):
+    net, es = garver_study
+    built = garver_plans(net)[0]
+    real = montecarlo.solve_opf
+    calls = []
+
+    def first_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise NumericalError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "solve_opf", first_fails)
+    study = SimulationStudy(n_samples=100, seed=3, q_star=1e9, radius=1.0)
+    report = run_simulation(net, built, es, study)
+    assert report.failed_samples == 1
+    assert np.isnan(report.costs[0])
+    assert np.all(np.isfinite(report.costs[1:]))
+    assert int(np.sum(report.bin_counts)) == 99
+    assert report.non_exceedance == 0.99
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,11 @@ six-bus system, and finite-difference checks of the cost gradient."""
 import numpy as np
 import pytest
 
-from arotnep import opf
+from arotnep import simplex
 from arotnep.datasets import load_dataset
 from arotnep.errors import ValidationError
-from arotnep.opf import clip_uncertain, solve_opf
-from arotnep.simplex import check_kkt, solve_lp
+from arotnep.opf import clip_uncertain, dispatch_piece, solve_opf
+from arotnep.simplex import check_kkt, solve_lp_with_state
 
 
 @pytest.fixture(scope="module")
@@ -33,11 +33,11 @@ def dispatch_lps(monkeypatch):
     seen = []
 
     def recording(lp):
-        sol = solve_lp(lp)
+        sol, state = solve_lp_with_state(lp)
         seen.append((lp, sol))
-        return sol
+        return sol, state
 
-    monkeypatch.setattr(opf, "solve_lp", recording)
+    monkeypatch.setattr(simplex, "solve_lp_with_state", recording)
     return seen
 
 
@@ -218,3 +218,23 @@ def test_gradient_matches_finite_differences(garver, case, dispatch_lps):
             fd = 0.5 * (left + right)
             assert sol.eta[i] == pytest.approx(fd, abs=5e-5 * (1.0 + abs(fd)))
     assert kkt_ok(*dispatch_lps[0])
+
+
+@pytest.mark.parametrize("name, built", [("onebus", frozenset()),
+                                         ("twobus", frozenset()),
+                                         ("garver6", PAPER_PLAN)])
+def test_piece_from_a_clipped_capacity_prices_like_solve_opf(name, built):
+    # Clipped to zero, the first generator's bounds coincide and the solver
+    # may leave it at either one; the piece must move it to the bound its
+    # reduced cost picks, or it prices every draw as if that unit were off.
+    net = load_dataset(name)
+    nominal = net.nominal_uncertain()
+    d = nominal.copy()
+    d[0] = -1.0
+    piece = dispatch_piece(net, built, solve_opf(net, d=d, built=built).basis)
+    draws = nominal * np.random.default_rng(31).uniform(0.0, 1.5, (50, nominal.size))
+    costs, certified = piece.price(draws)
+    assert certified.any()
+    want = np.array([solve_opf(net, d=x, built=built).objective
+                     for x in draws[certified]])
+    np.testing.assert_allclose(costs[certified], want, rtol=1e-9, atol=0.0)

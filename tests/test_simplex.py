@@ -483,6 +483,17 @@ def test_kernel_form_matches_highs_cold_and_warm(seed, caplog):
         assert check_kkt(problem, got) <= 1e-7
 
 
+def test_unit_columns_read_the_current_signs():
+    rng = np.random.default_rng(5600)
+    sx = mixed_basis_simplex(rng, *KERNEL_ROWS, 3)
+    # mixed_basis_simplex flips artificial signs in A after construction,
+    # as phase 1 does.
+    rows, signs = sx._unit_columns()
+    np.testing.assert_array_equal(rows, sx._unit_row[sx.n:])
+    np.testing.assert_array_equal(signs, sx.A[rows, np.arange(sx.n, sx.n_total)])
+    assert np.any(signs[sx.art - sx.n] < 0.0)
+
+
 def test_kernel_refactor_rejects_singular_kernel():
     rng = np.random.default_rng(5200)
     for rows in (DENSE_ROWS, KERNEL_ROWS):

@@ -275,6 +275,7 @@ class OuterIteration:
     z_up: float
     z_lo: float
     gap: float
+    master_nodes: int  # B&B nodes of this iteration's master; 0 when none ran
     runtime_s: float
 
 
@@ -359,7 +360,7 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
         gap = _relative_gap(z_up, z_lo) if np.isfinite(z_lo) else np.inf
         log.append(OuterIteration(nu=nu, built=built, investment=invest,
                                   worst_cost=inner.worst_cost, z_up=z_up,
-                                  z_lo=z_lo, gap=gap,
+                                  z_lo=z_lo, gap=gap, master_nodes=0,
                                   runtime_s=time.perf_counter() - tick))
         if gap <= tol:
             status = "converged"
@@ -380,6 +381,7 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
         master = solve_master(net, scenarios, gap_tol=master_gap)
         built = master.built
         z_lo = master.objective
+        log[-1].master_nodes = master.nodes
         log[-1].runtime_s = time.perf_counter() - tick
 
     plan_built, (plan_inv, plan_q, plan_inner) = min(

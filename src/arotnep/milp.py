@@ -4,7 +4,9 @@ Node selection is best-bound (ties broken by creation order), branching picks
 the most fractional binary (ties broken by lowest variable index), and child
 LPs are warm-started from the parent basis through the dual simplex (a warm
 start that falls back to a cold solve still returns its basis, so every open
-node carries one). The search terminates when the absolute gap between
+node carries one). All node LPs share one simplex :class:`~.simplex.Layout`,
+and both children of a branch start from one factorization of their
+parent's basis. The search terminates when the absolute gap between
 incumbent and best bound falls to ``gap_tol``; nodes are pruned only when they
 provably cannot improve the incumbent by more than a much smaller margin, so
 optimality never hinges on the looser reporting gap. The incumbent is
@@ -24,6 +26,7 @@ from .simplex import (
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     BasisState,
+    Layout,
     LinearProgram,
     LPSolution,
     solve_lp_warm,
@@ -82,12 +85,6 @@ def _fractional(x: np.ndarray, binary: np.ndarray) -> int | None:
     return int(binary[ties[0]])
 
 
-def _with_bounds(lp: LinearProgram, lower: np.ndarray, upper: np.ndarray) -> LinearProgram:
-    return LinearProgram(lp.objective, a_eq=lp.a_eq, b_eq=lp.b_eq,
-                         a_ub=lp.a_ub, b_ub=lp.b_ub,
-                         lower=lower, upper=upper)
-
-
 def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
                node_limit: int = 100_000) -> MILPSolution:
     """Branch and bound over the binary variables of ``problem``.
@@ -100,6 +97,8 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
     problem.validate()
     lp = problem.lp
     binary = problem.binary
+    # Every node LP shares one layout; it dies when this call returns.
+    layout = Layout(lp)
 
     lower = lp.lower.copy()
     upper = lp.upper.copy()
@@ -107,8 +106,7 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
         lower[binary] = np.maximum(lower[binary], 0.0)
         upper[binary] = np.minimum(upper[binary], 1.0)
 
-    root_lp = _with_bounds(lp, lower, upper)
-    root_sol, root_state = solve_lp_with_state(root_lp)
+    root_sol, root_state = solve_lp_with_state(layout.program(lower, upper))
     nodes = 1
     if root_sol.status == STATUS_INFEASIBLE:
         return MILPSolution(status=STATUS_INFEASIBLE, nodes=nodes)
@@ -150,7 +148,7 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
             lo = node.lower.copy()
             up = node.upper.copy()
             lo[j] = up[j] = fix
-            child_sol, child_state = solve_lp_warm(_with_bounds(lp, lo, up), node.state)
+            child_sol, child_state = solve_lp_warm(layout.program(lo, up), node.state)
             nodes += 1
             if child_sol.status != STATUS_OPTIMAL:
                 continue

@@ -9,9 +9,18 @@ The solver is deliberately self-contained: two-phase primal simplex over
 bounded variables, a basis inverse with periodic refactorization, Dantzig
 pricing with a switch to Bland's rule once a degeneracy counter trips, and
 a bounded dual simplex used to warm-start from a dual-feasible basis after
-bound changes (the branch-and-bound layer relies on this). Cold and warm
-solves end alike: a primal polish that refactors and re-prices until the
-optimum is clean, then extraction.
+bound changes (the branch-and-bound layer relies on this). The dual prices
+its reduced costs once and then updates them from each pivot row, pricing
+afresh only after a refactorization. Cold and warm solves end alike: a
+primal polish that re-prices until the optimum is clean, then extraction.
+
+What does not depend on the bounds (the constraint matrix, its structural
+nonzeros, ``b``, the costs, the unit-column index, validation) lives in a
+:class:`Layout`. A plain LP gets one per solve; branch and bound builds one
+per call and hands every node an LP that shares it, so a node keeps only its
+bounds, values, statuses and basis. A warm start that begins from the same
+basis state as the previous warm start on its layout (the second child of
+a branch) reuses that factorization instead of inverting again.
 
 Basic slacks and artificials are signed unit columns, so a refactorization
 inverts only the structural kernel of the basis (its structural columns on
@@ -40,7 +49,10 @@ solver refactors and redoes the iteration when the pivot element is tiny
 next to its column or, in the dual simplex, disagrees with the same
 element of the pivot row (BTRAN against FTRAN); and a non-finite basic
 value after a kernel-form pivot raises :class:`NumericalError` (a warm
-start then falls back to a cold solve).
+start then falls back to a cold solve). The polish refactors a dense
+inverse before it re-prices; a kernel-form one recomputes the basic values
+through its eta file and refactors only when they miss the rows by more
+than the primal tolerance.
 
 Dual sign convention
 --------------------
@@ -56,6 +68,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -107,6 +120,8 @@ class LinearProgram:
     b_ub: np.ndarray | None = None
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
+    # Set on the LPs that Layout.program hands out.
+    _layout: ClassVar[Layout | None] = None
 
     def __post_init__(self):
         self.objective = _as_vector(self.objective)
@@ -123,6 +138,10 @@ class LinearProgram:
         return self.objective.size
 
     def validate(self) -> None:
+        self._validate_rows()
+        self._validate_bounds()
+
+    def _validate_rows(self) -> None:
         n = self.n_vars
         for name, mat, rhs in (("a_eq", self.a_eq, self.b_eq), ("a_ub", self.a_ub, self.b_ub)):
             if mat.shape[1] != n:
@@ -131,10 +150,13 @@ class LinearProgram:
                 raise ValidationError(f"{name} has {mat.shape[0]} rows but rhs has {rhs.size}")
             if not np.all(np.isfinite(mat)) or not np.all(np.isfinite(rhs)):
                 raise ValidationError(f"nonfinite coefficient in {name} block")
-        if self.lower.size != n or self.upper.size != n:
-            raise ValidationError("bound vectors must match the variable count")
         if not np.all(np.isfinite(self.objective)):
             raise ValidationError("nonfinite objective coefficient")
+
+    def _validate_bounds(self) -> None:
+        n = self.n_vars
+        if self.lower.size != n or self.upper.size != n:
+            raise ValidationError("bound vectors must match the variable count")
         for what, bad in (("NaN bound", np.isnan(self.lower) | np.isnan(self.upper)),
                           ("non-finite lower bound", ~np.isfinite(self.lower)),
                           ("lower bound exceeds upper bound", self.lower > self.upper)):
@@ -161,18 +183,25 @@ class BasisState:
     status: np.ndarray
 
 
-class _Simplex:
-    """Working state for one LP: columns are [structural | slacks | artificials]."""
+class Layout:
+    """The bound-independent part of an LP's working state, built and
+    validated once: the constraint matrix over columns [structural | slacks |
+    artificials] (artificials as ``+e_i``), its structural nonzeros, ``b``,
+    the cost vector, the row of each unit column and the tolerances.
+
+    :meth:`program` hands out LPs that differ from the source only in their
+    bounds and share this layout, as the nodes of a branch and bound do; a
+    solve keeps only its bounds, values, statuses and basis.  Phase 1 signs
+    the artificials in ``A`` and a cold solve restores them as it ends, so
+    every solve sees the same layout."""
 
     def __init__(self, lp: LinearProgram):
-        lp.validate()
-        self.lp = lp
-        self.n = lp.n_vars
+        lp._validate_rows()
+        self.source = lp
+        self.n = n = lp.n_vars
         self.m_eq = lp.b_eq.size
-        self.m_ub = lp.b_ub.size
-        self.m = self.m_eq + self.m_ub
-        m, n = self.m, self.n
-        self.n_slack = self.m_ub
+        self.m = m = self.m_eq + lp.b_ub.size
+        self.n_slack = lp.b_ub.size
         self.n_total = n + self.n_slack + m  # artificials: one per row
 
         A = np.zeros((m, self.n_total))
@@ -187,39 +216,85 @@ class _Simplex:
         A[np.arange(m), self.art] = 1.0
         self.A = A
         self.b = np.concatenate([lp.b_eq, lp.b_ub])
-
         self.c = np.zeros(self.n_total)
         self.c[:n] = lp.objective
 
-        self.lower = np.concatenate([lp.lower, np.zeros(self.n_slack + m)])
-        self.upper = np.concatenate([lp.upper, np.full(self.n_slack, np.inf), np.full(m, np.inf)])
-
         # Row of each slack and artificial column; -1 marks structural ones.
-        self._unit_row = np.concatenate([np.full(n, -1), slack_rows, np.arange(m)])
+        self.unit_row = np.concatenate([np.full(n, -1), slack_rows, np.arange(m)])
         # Flat positions of their signs in A, read on every product because
         # phase 1 flips artificial signs.
-        self._unit_flat = self._unit_row[n:] * self.n_total + np.arange(n, self.n_total)
-        self.basis = np.zeros(m, dtype=np.int64)
-        self.stat = np.full(self.n_total, _AT_LOWER, dtype=np.int8)
-        self.x = np.zeros(self.n_total)
+        self.unit_flat = self.unit_row[n:] * self.n_total + np.arange(n, self.n_total)
         self.dense = m <= _DENSE_MAX_ROWS
-        self.n_etas = 0
         if not self.dense:
             # Structural nonzeros: the kernel form multiplies by A through them.
             rows, cols = A[:, :n].nonzero()
-            self._nz = (rows, cols, A[rows, cols])
+            self.nz = (rows, cols, A[rows, cols])
+        self.max_iter = 200 * (m + n) + 2000
+        bscale = float(np.max(np.abs(self.b))) if m else 0.0
+        self.tol_p = 1e-9 * (1.0 + bscale)
+        # The last warm-start basis state and its factorization: both
+        # children of a branch start from their parent's state.
+        self.last_factor: tuple[BasisState, object] | None = None
+
+    def program(self, lower: np.ndarray, upper: np.ndarray) -> LinearProgram:
+        """The source LP with bounds ``lower`` and ``upper``, solved on this
+        layout."""
+        src = self.source
+        lp = LinearProgram(src.objective, a_eq=src.a_eq, b_eq=src.b_eq,
+                           a_ub=src.a_ub, b_ub=src.b_ub, lower=lower, upper=upper)
+        lp._layout = self
+        return lp
+
+
+class _Simplex:
+    """Working state for one LP on its :class:`Layout`."""
+
+    def __init__(self, lp: LinearProgram):
+        lay = lp._layout if lp._layout is not None else Layout(lp)
+        lp._validate_bounds()
+        self.layout = lay
+        m = lay.m
+        self.n, self.m_eq, self.m = lay.n, lay.m_eq, m
+        self.n_slack, self.n_total = lay.n_slack, lay.n_total
+        self.A, self.b, self.c, self.art = lay.A, lay.b, lay.c, lay.art
+        self._unit_row, self._unit_flat = lay.unit_row, lay.unit_flat
+        self.max_iter, self.tol_p = lay.max_iter, lay.tol_p
+
+        self.lower = np.concatenate([lp.lower, np.zeros(self.n_slack + m)])
+        self.upper = np.concatenate([lp.upper, np.full(self.n_slack + m, np.inf)])
+        self.basis = np.zeros(m, dtype=np.int64)
+        self.stat = np.full(self.n_total, _AT_LOWER, dtype=np.int8)
+        self.x = np.zeros(self.n_total)
+        self.dense = lay.dense
+        self.n_etas = 0
+        if not self.dense:
+            self._nz = lay.nz
             # Eta file (see _add_eta); a refactorization empties it.
             self._eta_k = np.zeros(0, dtype=np.int64)
             self._eta_w = np.zeros((0, m))
             self._eta_tri = self._eta_tri_inv = np.zeros((0, 0))
         self.iterations = 0
-        self.max_iter = 200 * (m + n) + 2000
-        bscale = float(np.max(np.abs(self.b))) if m else 0.0
-        self.tol_p = 1e-9 * (1.0 + bscale)
 
     # -- linear algebra helpers -------------------------------------------------
 
     def _refactor(self) -> None:
+        """Invert the basis afresh and recompute the basic values."""
+        self._install(self._factorize())
+        self._recompute_basic_values()
+
+    def _warm_refactor(self, state: BasisState) -> None:
+        """:meth:`_refactor` at the basis of ``state``, a warm start.  Both
+        children of a branch start from their parent's state, so the second
+        reuses the factorization the layout kept from the first."""
+        lay = self.layout
+        if lay.last_factor is None or lay.last_factor[0] is not state:
+            lay.last_factor = (state, self._factorize())
+        factor = lay.last_factor[1]
+        # Rank-one steps update a dense inverse in place.
+        self._install(factor.copy() if self.dense else factor)
+        self._recompute_basic_values()
+
+    def _factorize(self):
         """Invert the basis through its structural kernel.
 
         With ``S`` the basis positions of unit columns, ``rows_s`` their
@@ -227,7 +302,7 @@ class _Simplex:
         column covers, the basis is block triangular and only the kernel
         ``A[R, basis[K]]`` needs a dense inverse.  A dense-form basis
         assembles the full inverse from it; a kernel-form one keeps the
-        pieces and starts an empty eta file."""
+        pieces (see :meth:`_install`)."""
         basis = self.basis
         rows = self._unit_row[basis]
         unit = rows >= 0
@@ -251,16 +326,22 @@ class _Simplex:
             binv[K[:, None], R] = minv
             binv[S[:, None], R] = (self.A[rows_s[:, None], cols_k] @ minv) / -sign[:, None]
             binv[S, rows_s] = 1.0 / sign
-            self.binv = binv
+            return binv
+        # Nonzeros of the basic structural columns, by basis position.
+        rows, cols, vals = self._nz
+        pos = np.full(self.n, -1)
+        pos[cols_k] = np.arange(K.size)
+        sel = pos[cols] >= 0
+        return (K, R, S, rows_s, sign, minv, (rows[sel], pos[cols[sel]], vals[sel]))
+
+    def _install(self, factor) -> None:
+        """Take ``factor`` from :meth:`_factorize` as the inverse; a
+        kernel-form one starts an empty eta file."""
+        if self.dense:
+            self.binv = factor
         else:
-            # Nonzeros of the basic structural columns, by basis position.
-            rows, cols, vals = self._nz
-            pos = np.full(self.n, -1)
-            pos[cols_k] = np.arange(K.size)
-            sel = pos[cols] >= 0
-            self._kernel = (K, R, S, rows_s, sign, minv, (rows[sel], pos[cols[sel]], vals[sel]))
+            self._kernel = factor
             self.n_etas = 0
-        self._recompute_basic_values()
 
     def _ftran(self, a: np.ndarray) -> np.ndarray:
         """``B^-1 a``: the kernel, then the unit rows, then the etas in order."""
@@ -357,12 +438,15 @@ class _Simplex:
         as applying the etas one at a time."""
         p = self.n_etas
         if p == self._eta_k.size:
-            grow = max(p, _REFACTOR_PERIOD)
+            # np.zeros leaves the new rows untouched until an eta fills them.
+            size = p + max(p, _REFACTOR_PERIOD)
             ks, ws, tri, tri_inv = self._eta_file()
-            self._eta_k = np.pad(ks, (0, grow))
-            self._eta_w = np.pad(ws, ((0, grow), (0, 0)))
-            self._eta_tri = np.pad(tri, (0, grow))
-            self._eta_tri_inv = np.pad(tri_inv, (0, grow))
+            self._eta_k = np.zeros(size, dtype=np.int64)
+            self._eta_w = np.zeros((size, self.m))
+            self._eta_tri = np.zeros((size, size))
+            self._eta_tri_inv = np.zeros((size, size))
+            self._eta_k[:p], self._eta_w[:p] = ks, ws
+            self._eta_tri[:p, :p], self._eta_tri_inv[:p, :p] = tri, tri_inv
         ks, ws, tri, tri_inv = self._eta_k, self._eta_w, self._eta_tri, self._eta_tri_inv
         tri[p, :p] = ws[:p, k] - (ks[:p] == k)
         tri[p, p] = w[k]
@@ -554,11 +638,16 @@ class _Simplex:
     # -- dual simplex (warm starts) --------------------------------------------
 
     def dual_optimize(self, c: np.ndarray) -> str:
-        """Reoptimize from a dual-feasible basis after bound changes."""
+        """Reoptimize from a dual-feasible basis after bound changes.
+
+        The reduced costs ``self.r`` are priced once and after each
+        refactorization; a pivot updates them from the pivot row ``alpha``
+        it forms anyway: ``r -= (r_q / alpha_q) * alpha``."""
         tol_d = 1e-9 * (1.0 + float(np.max(np.abs(c))))
         since_refactor = 0
         bland = False
         stalls = 0
+        self.r = r = self._reduced_costs(c)
         while True:
             if self.iterations >= self.max_iter:
                 raise NumericalError(f"dual simplex iteration cap ({self.max_iter}) exceeded")
@@ -573,7 +662,6 @@ class _Simplex:
                 return STATUS_OPTIMAL
             below = low_viol[k] >= up_viol[k]
 
-            r = self._reduced_costs(c)
             alpha = self._times_a(self._row(k))
             span_ok = self.upper - self.lower > 0.0
             if below:
@@ -596,13 +684,17 @@ class _Simplex:
             w = self._ftran(self.A[:, q])
             if self.n_etas and self._drifted(w, k, alpha[q]):
                 self._refactor()
+                self.r = r = self._reduced_costs(c)
                 since_refactor = 0
                 continue
             bound = lb[k] if below else ub[k]
             self._pivot(k, q, w, (xb[k] - bound) / w[k], not below)
+            r_q = r[q]
+            r -= (r_q / alpha[q]) * alpha
+            r[self.basis] = 0.0
             self.iterations += 1
             since_refactor += 1
-            if abs(r[q]) <= tol_d:
+            if abs(r_q) <= tol_d:
                 stalls += 1
                 if stalls > _BLAND_TRIP:
                     bland = True
@@ -611,13 +703,14 @@ class _Simplex:
                 bland = False
             if since_refactor >= _REFACTOR_PERIOD:
                 self._refactor()
+                self.r = r = self._reduced_costs(c)
                 since_refactor = 0
 
     # -- extraction -------------------------------------------------------------
 
     def extract(self, status: str) -> LPSolution:
-        """Solution at the current basis; an optimal one must be freshly
-        refactorized."""
+        """Solution at the current basis, priced through its inverse as it
+        stands (a kernel-form one with its eta file)."""
         if status != STATUS_OPTIMAL:
             return LPSolution(status=status, iterations=self.iterations)
         y = self._btran(self.c[self.basis])
@@ -633,14 +726,22 @@ class _Simplex:
 
 
 def _polish(sx: _Simplex) -> str:
-    """Optimize primally from a primal-feasible basis, then refactor and
-    re-price until the optimum is clean."""
+    """Optimize primally from a primal-feasible basis, then re-price until
+    the optimum is clean.  A dense inverse is refactored before each
+    re-pricing.  A kernel-form one recomputes the basic values through its
+    eta file and is refactored only when they leave a row residual
+    ``max|b - A x|`` above ``tol_p``."""
+    tol_d = 1e-9 * (1.0 + float(np.max(np.abs(sx.c))))
     for _ in range(3):
         status = sx.optimize(sx.c)
         if status != STATUS_OPTIMAL:
             return status
-        sx._refactor()
-        tol_d = 1e-9 * (1.0 + float(np.max(np.abs(sx.c))))
+        if sx.dense:
+            sx._refactor()
+        else:
+            sx._recompute_basic_values()
+            if float(np.max(np.abs(sx.b - sx._a_times(sx.x)))) > sx.tol_p:
+                sx._refactor()
         q, _ = sx._choose_entering(sx._reduced_costs(sx.c), tol_d, False)
         if q is None:
             break
@@ -658,7 +759,11 @@ def _finish(sx: _Simplex, status: str) -> tuple[LPSolution, BasisState | None]:
 def solve_lp_with_state(lp: LinearProgram) -> tuple[LPSolution, BasisState | None]:
     """Like :func:`solve_lp` but also returns the optimal basis for warm starts."""
     sx = _Simplex(lp)
-    return _finish(sx, STATUS_OPTIMAL if sx.phase1() else STATUS_INFEASIBLE)
+    try:
+        return _finish(sx, STATUS_OPTIMAL if sx.phase1() else STATUS_INFEASIBLE)
+    finally:
+        # Phase 1 signed the artificials in the layout's A.
+        sx.A[np.arange(sx.m), sx.art] = 1.0
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
@@ -676,8 +781,12 @@ def solve_lp_warm(lp: LinearProgram,
     """Resolve ``lp`` starting from a basis of a bound-modified relative.
 
     The basis must come from an LP with identical rows and objective; only
-    variable bounds may differ. Falls back to a cold solve, basis state
-    included, on any numerical trouble.
+    variable bounds may differ.  The dual simplex restores primal
+    feasibility and the polish ends the solve as a cold one ends.  An LP
+    from :meth:`Layout.program` reuses its layout, and the factorization of
+    ``state`` when the previous warm start on that layout began from the
+    same ``state`` (the sibling of a branch).  Falls back to a cold solve,
+    basis state included, on any numerical trouble.
     """
     sx = _Simplex(lp)
     try:
@@ -692,7 +801,7 @@ def solve_lp_warm(lp: LinearProgram,
         if np.any(bad):
             raise NumericalError("nonbasic variable lost its finite bound")
         sx.x[nonbasic] = vals[nonbasic]
-        sx._refactor()
+        sx._warm_refactor(state)
         # The dual method restores primal feasibility; the polish then
         # repairs reduced-cost signs that the bound changes disturbed.
         return _finish(sx, sx.dual_optimize(sx.c))

@@ -1,14 +1,17 @@
 """Branch-and-bound tests against exhaustive binary enumeration."""
 
 import logging
+import weakref
 
 import numpy as np
 import pytest
 
+from arotnep import milp
 from arotnep.errors import IterationLimit, ValidationError
 from arotnep.milp import MILPProblem, solve_milp
-from arotnep.simplex import LinearProgram, solve_lp
-from oracles import milp_enumerate_optimum
+from arotnep.simplex import (Layout, LinearProgram, solve_lp, solve_lp_warm,
+                             solve_lp_with_state)
+from oracles import milp_enumerate_optimum, random_box_lp
 
 
 def test_small_knapsack_by_hand():
@@ -128,3 +131,66 @@ def test_bound_and_gap_reporting():
     assert sol.objective == pytest.approx(ref_obj, abs=1e-9)
     assert sol.best_bound <= sol.objective + 1e-9
     assert sol.nodes >= 1
+
+
+def assert_same_solve(got, want):
+    """Two ``(LPSolution, BasisState)`` results agree bit for bit."""
+    (sol, state), (ref, ref_state) = got, want
+    assert (sol.status, sol.iterations) == (ref.status, ref.iterations)
+    if ref.status == "optimal":
+        assert sol.objective == ref.objective
+        for name in ("x", "duals_eq", "duals_ub", "reduced_costs"):
+            assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
+        assert np.array_equal(state.basis, ref_state.basis)
+        assert np.array_equal(state.status, ref_state.status)
+
+
+@pytest.mark.parametrize("shape", [(8, 6, 1), (40, 200, 5)], ids=["dense", "kernel"])
+def test_children_on_a_shared_layout_match_independent_warm_starts(shape):
+    # Fork both children of one parent on a shared layout, in either order:
+    # the second reuses the parent's factorization from the first, and
+    # neither may see what the root's phase 1 or its sibling left behind.
+    lp = random_box_lp(np.random.default_rng(4100), *shape)
+    ref_root = solve_lp_with_state(lp)
+    state = ref_root[1]
+    # The children pin the column that the optimum of -c moves most to two
+    # values between the two optima, so both stay feasible.
+    far = solve_lp(LinearProgram(-lp.objective, a_eq=lp.a_eq, b_eq=lp.b_eq,
+                                 a_ub=lp.a_ub, b_ub=lp.b_ub, lower=lp.lower,
+                                 upper=lp.upper)).x
+    j = int(np.argmax(np.abs(far - ref_root[0].x)))
+    children = []
+    for t in (0.25, 0.75):
+        lo, up = lp.lower.copy(), lp.upper.copy()
+        lo[j] = up[j] = (1.0 - t) * ref_root[0].x[j] + t * far[j]
+        children.append((lo, up))
+    refs = [solve_lp_warm(LinearProgram(lp.objective, a_eq=lp.a_eq, b_eq=lp.b_eq,
+                                        a_ub=lp.a_ub, b_ub=lp.b_ub, lower=lo, upper=up),
+                          state) for lo, up in children]
+    assert all(sol.status == "optimal" and sol.iterations > 0 for sol, _ in refs)
+    for order in ((0, 1), (1, 0)):
+        layout = Layout(lp)
+        before = [layout.A.tobytes(), layout.b.tobytes(), layout.c.tobytes()]
+        assert_same_solve(solve_lp_with_state(layout.program(lp.lower, lp.upper)), ref_root)
+        for i in order:
+            assert_same_solve(solve_lp_warm(layout.program(*children[i]), state), refs[i])
+        assert [layout.A.tobytes(), layout.b.tobytes(), layout.c.tobytes()] == before
+
+
+def test_layout_dies_with_its_milp(monkeypatch):
+    layouts = []
+
+    class Recorded(Layout):
+        def __init__(self, lp):
+            super().__init__(lp)
+            layouts.append(weakref.ref(self))
+
+    monkeypatch.setattr(milp, "Layout", Recorded)
+    rng = np.random.default_rng(5)
+    n = 8
+    a = rng.uniform(0.5, 1.5, (1, n))
+    lp = LinearProgram(-rng.uniform(1.0, 2.0, n), a_ub=a, b_ub=[float(a.sum()) / 2.0],
+                       lower=np.zeros(n), upper=np.ones(n))
+    sol = solve_milp(MILPProblem(lp, np.arange(n)))
+    assert sol.status == "optimal" and sol.nodes > 3
+    assert len(layouts) == 1 and layouts[0]() is None

@@ -421,6 +421,90 @@ def test_dual_refactors_when_row_and_column_disagree():
         assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
+def pinned_kernel_simplex(seed, n_pinned=15):
+    """A kernel-form LP optimized cold, refactored, then given pinned bounds
+    on ``n_pinned`` columns: the start of a warm dual solve.  The pins take
+    the midpoint of the optimum and the optimum of ``-c``, so the pinned LP
+    stays feasible."""
+    rng = np.random.default_rng(seed)
+    lp = random_box_lp(rng, 40, 200, m_eq=5)
+    sx = _Simplex(lp)
+    assert not sx.dense and sx.m > _DENSE_MAX_ROWS and sx.phase1()
+    sx.optimize(sx.c)
+    sx._refactor()
+    far = solve_lp(LinearProgram(-lp.objective, a_eq=lp.a_eq, b_eq=lp.b_eq, a_ub=lp.a_ub,
+                                 b_ub=lp.b_ub, lower=lp.lower, upper=lp.upper))
+    pinned = rng.choice(40, size=n_pinned, replace=False)
+    sx.lower[pinned] = sx.upper[pinned] = sx.x[pinned] = 0.5 * (sx.x[pinned] + far.x[pinned])
+    sx._recompute_basic_values()
+    lp2 = LinearProgram(lp.objective, a_eq=lp.a_eq, b_eq=lp.b_eq, a_ub=lp.a_ub,
+                        b_ub=lp.b_ub, lower=sx.lower[:40], upper=sx.upper[:40])
+    return sx, lp2
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dual_updates_reduced_costs_from_the_pivot_row(seed):
+    # Every iteration of the dual simplex reads the pivot row, so checking
+    # self.r there sees it after each pivot's update or each refactor.
+    # Every third eta forces a drift refactor.
+    sx, lp2 = pinned_kernel_simplex(5700 + seed)
+    assert not np.array_equal(sx.x[sx.basis], np.clip(sx.x[sx.basis], sx.lower[sx.basis],
+                                                       sx.upper[sx.basis]))
+    tol = 1e-9 * (1.0 + np.max(np.abs(sx.c)))
+    clean_row, clean_refactor, clean_drifted = sx._row, sx._refactor, sx._drifted
+    # The dual prices once at its start, as after a refactorization.
+    seen = {"updated": 0, "reset": 0, "refactored": True}
+
+    def check():
+        fresh = sx._reduced_costs(sx.c)
+        if seen["refactored"]:
+            # Priced afresh, not carried over.
+            assert np.array_equal(sx.r, fresh)
+            seen["reset"] += 1
+        else:
+            assert np.max(np.abs(sx.r - fresh)) <= tol
+            assert np.all(sx.r[sx.basis] == 0.0)
+            seen["updated"] += 1
+        seen["refactored"] = False
+
+    def row(k):
+        check()
+        return clean_row(k)
+
+    def refactor():
+        clean_refactor()
+        seen["refactored"] = True
+
+    sx._row, sx._refactor = row, refactor
+    sx._drifted = lambda w, k, alpha_k=None: sx.n_etas >= 3 or clean_drifted(w, k, alpha_k)
+    assert sx.dual_optimize(sx.c) == "optimal"
+    check()
+    assert seen["updated"] >= 5 and seen["reset"] >= 2
+    sx._row, sx._refactor, sx._drifted = clean_row, clean_refactor, clean_drifted
+    sol, _ = _finish(sx, "optimal")
+    assert sol.objective == pytest.approx(solve_lp(lp2).objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("drift", [0.0, 1e-6], ids=["clean", "drifted"])
+def test_polish_refactors_only_on_a_row_residual(drift):
+    # After a dual solve the eta file is not empty.  Clean, the polish must
+    # keep it; with every FTRAN through it off by (1 + drift), the basic
+    # values miss the rows and the polish must refactor.
+    pytest.importorskip("scipy")
+    sx, lp2 = pinned_kernel_simplex(5710)
+    status = sx.dual_optimize(sx.c)
+    assert status == "optimal" and sx.n_etas > 0
+    clean_ftran, clean_refactor, refactors = sx._ftran, sx._refactor, []
+    sx._ftran = lambda a: clean_ftran(a) * (1.0 + drift * bool(sx.n_etas))
+    sx._refactor = lambda: (refactors.append(sx.n_etas), clean_refactor())
+    sol, _ = _finish(sx, status)
+    assert (len(refactors) > 0) == (drift > 0.0)
+    ref = highs_lp(lp2)
+    assert ref.status == 0 and sol.status == "optimal"
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-7)
+    assert check_kkt(lp2, sol) <= 1e-7
+
+
 def test_primal_refactors_before_a_drifted_pivot():
     rng = np.random.default_rng(5180)
     lp = random_box_lp(rng, 40, 200, m_eq=5)

@@ -122,13 +122,14 @@ def _write_iteration_log(plan: PlanResult, path: Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["nu", "z_up", "z_lo", "gap", "investment",
-                         "worst_cost", "built", "master_nodes", "runtime_s"])
+                         "worst_cost", "built", "master_nodes",
+                         "master_root_pivots", "runtime_s"])
         for it in plan.iterations:
             writer.writerow([it.nu, repr(it.z_up), repr(it.z_lo),
                              repr(it.gap), repr(it.investment),
                              repr(it.worst_cost),
                              " ".join(sorted(it.built)), it.master_nodes,
-                             f"{it.runtime_s:.6f}"])
+                             it.master_root_pivots, f"{it.runtime_s:.6f}"])
 
 
 def _run_study(cfg: StudyConfig, radius: float):

@@ -19,6 +19,17 @@ plan's price is only trusted once it covers dispatch under every stored
 scenario; otherwise the ascent is restarted from the most expensive stored
 point.  The loop stops when the relative gap closes, when the worst-case
 search stops producing new points (stall), or at the iteration cap.
+
+Each iteration adds one scenario, so master ``k + 1`` is master ``k`` plus
+one dispatch block.  Only the first master solves its root LP cold; every
+later root starts from the previous root's optimal basis, extended by the
+new block: the artificials of its equality rows and the slacks of its
+big-M, capacity and cost-cut rows become basic, its dispatch columns
+nonbasic at their lower bounds.  Those basic columns have zero cost and
+appear only in the new rows, so the new rows' duals are 0, the old duals
+and every reduced cost are unchanged (the new columns' are their zero
+costs), and the extended basis is dual feasible: the dual simplex repairs
+the new block's values and its violated cost cut.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ from .milp import MILPProblem, solve_milp
 from .network import LINE_EXISTING, Network
 from .opf import (ANGLE_BOUND, OPFSolution, clip_uncertain, dispatch_block,
                   solve_opf)
-from .simplex import LinearProgram
+from .simplex import BasisState, LinearProgram
 
 # ---------------------------------------------------------------------------
 # inner worst-case search
@@ -130,6 +141,9 @@ class MasterResult:
     investment: float
     objective: float
     nodes: int
+    root_pivots: int = 0
+    # Optimal basis of the root LP, which warm-starts the next master's root.
+    root_state: BasisState | None = None
 
 
 def investment_cost(net: Network, built) -> float:
@@ -148,9 +162,40 @@ def _identical_chains(candidates) -> list[list[int]]:
     return [chain for chain in groups.values() if len(chain) > 1]
 
 
-def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6) -> MasterResult:
+def _extend_root_state(state: BasisState, n_var: int, n_block: int,
+                       m_eq: int, m_eq_block: int, m_ub: int, m_ub_block: int,
+                       tail: int) -> BasisState:
+    """``state``, the root basis of the master over all scenarios but the
+    last, on the master over all of them (``n_var`` structural columns,
+    ``m_eq`` and ``m_ub`` rows, ``tail`` budget and symmetry rows ending
+    ``a_ub``).  The last block's columns come last and its equality rows
+    after the others; its ``<=`` rows go before the tail rows, which moves
+    the tail's slacks and artificials.  Its artificials and slacks enter
+    the basis (see the module docstring)."""
+    ub_block0 = m_ub - m_ub_block - tail  # first <= row of the last block
+    # New index of every old <= row, and of every old row in [eq | ub].
+    ub_map = np.concatenate([np.arange(ub_block0),
+                             np.arange(ub_block0, ub_block0 + tail) + m_ub_block])
+    row_map = np.concatenate([np.arange(m_eq - m_eq_block), m_eq + ub_map])
+    # Columns in the layout order [structural | slacks | artificials].
+    col_map = np.concatenate([np.arange(n_var - n_block), n_var + ub_map,
+                              n_var + m_ub + row_map])
+    if state.status.size != col_map.size or state.basis.size != row_map.size:
+        raise ValidationError("root state does not come from the master over "
+                              "one scenario fewer")
+    new_basic = np.concatenate([n_var + m_ub + np.arange(m_eq - m_eq_block, m_eq),
+                                n_var + np.arange(ub_block0, ub_block0 + m_ub_block)])
+    return state.extended(col_map, n_var + 2 * m_ub + m_eq, new_basic)
+
+
+def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6,
+                 root_state: BasisState | None = None) -> MasterResult:
     """Pick candidate lines minimizing investment plus the worst dispatch
-    cost over the stored scenarios."""
+    cost over the stored scenarios.
+
+    ``root_state`` is the :attr:`MasterResult.root_state` of the master over
+    all scenarios but the last; it warm-starts the root LP, and a state
+    from any other master raises :class:`ValidationError`."""
     candidates = list(net.candidate_lines)
     n_cand = len(candidates)
     scenarios = [clip_uncertain(np.asarray(s, dtype=float))[0] for s in scenarios]
@@ -247,9 +292,13 @@ def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6) -> MasterRes
             a_ub[row, earlier] = -1.0
             row += 1
 
+    if root_state is not None:
+        root_state = _extend_root_state(root_state, n_var, n_block, a_eq.shape[0],
+                                        m_eq_block, m_ub, m_ub_block, 1 + n_prec)
     lp = LinearProgram(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
                        lower=lower, upper=upper)
-    milp = solve_milp(MILPProblem(lp, np.arange(n_cand)), gap_tol=gap_tol)
+    milp = solve_milp(MILPProblem(lp, np.arange(n_cand)), gap_tol=gap_tol,
+                      root_state=root_state)
     if milp.status != "optimal":
         raise NumericalError(
             "investment master reported infeasible although the no-build "
@@ -259,7 +308,8 @@ def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6) -> MasterRes
                       if round(milp.x[i]) == 1)
     return MasterResult(built=built, gamma=float(milp.x[off_gamma]),
                         investment=investment_cost(net, built),
-                        objective=float(milp.objective), nodes=milp.nodes)
+                        objective=float(milp.objective), nodes=milp.nodes,
+                        root_pivots=milp.root_pivots, root_state=milp.root_state)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +326,7 @@ class OuterIteration:
     z_lo: float
     gap: float
     master_nodes: int  # B&B nodes of this iteration's master; 0 when none ran
+    master_root_pivots: int  # pivots of that master's root LP; 0 when none ran
     runtime_s: float
 
 
@@ -346,6 +397,8 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
         return InnerResult(replay[k].objective, scenarios[k].copy(),
                            replay[k], 1, True, [replay[k].objective])
 
+    # The last master's root basis, which starts the next master's root.
+    root_state: BasisState | None = None
     status = "iteration_limit"
     for nu in range(1, max_outer + 1):
         tick = time.perf_counter()
@@ -361,6 +414,7 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
         log.append(OuterIteration(nu=nu, built=built, investment=invest,
                                   worst_cost=inner.worst_cost, z_up=z_up,
                                   z_lo=z_lo, gap=gap, master_nodes=0,
+                                  master_root_pivots=0,
                                   runtime_s=time.perf_counter() - tick))
         if gap <= tol:
             status = "converged"
@@ -378,10 +432,13 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
                 candidates[plan] = (inv, sol.objective,
                                     InnerResult(sol.objective, point.copy(),
                                                 sol, 1, True, [sol.objective]))
-        master = solve_master(net, scenarios, gap_tol=master_gap)
+        master = solve_master(net, scenarios, gap_tol=master_gap,
+                              root_state=root_state)
+        root_state = master.root_state
         built = master.built
         z_lo = master.objective
         log[-1].master_nodes = master.nodes
+        log[-1].master_root_pivots = master.root_pivots
         log[-1].runtime_s = time.perf_counter() - tick
 
     plan_built, (plan_inv, plan_q, plan_inner) = min(

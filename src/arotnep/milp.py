@@ -6,7 +6,10 @@ LPs are warm-started from the parent basis through the dual simplex (a warm
 start that falls back to a cold solve still returns its basis, so every open
 node carries one). All node LPs share one simplex :class:`~.simplex.Layout`,
 and both children of a branch start from one factorization of their
-parent's basis. The search terminates when the absolute gap between
+parent's basis. The root LP is solved cold, or warm by the dual simplex
+from a given dual-feasible root state (a related MILP's root basis,
+extended to this one), and its optimal state is returned for the next
+such MILP. The search terminates when the absolute gap between
 incumbent and best bound falls to ``gap_tol``; nodes are pruned only when they
 provably cannot improve the incumbent by more than a much smaller margin, so
 optimality never hinges on the looser reporting gap. The incumbent is
@@ -64,6 +67,8 @@ class MILPSolution:
     best_bound: float = np.nan
     gap: float = np.nan
     nodes: int = 0
+    root_pivots: int = 0
+    root_state: BasisState | None = None
 
 
 @dataclass(order=True)
@@ -86,11 +91,16 @@ def _fractional(x: np.ndarray, binary: np.ndarray) -> int | None:
 
 
 def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
-               node_limit: int = 100_000) -> MILPSolution:
+               node_limit: int = 100_000,
+               root_state: BasisState | None = None) -> MILPSolution:
     """Branch and bound over the binary variables of ``problem``.
 
     The answer is the incumbent node's LP solution as found: its binaries
     are integral to within ``_INT_TOL`` (1e-6), so callers round them.
+    ``root_state``, a basis state of the relaxation that is dual feasible
+    for it, warm-starts the root LP by the dual simplex (falling back to a
+    cold solve like any warm start); without it the root is solved cold.
+    An optimal answer carries the root's pivot count and optimal state.
     Raises :class:`IterationLimit` when ``node_limit`` LP nodes were
     solved without proving optimality.
     """
@@ -106,7 +116,13 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
         lower[binary] = np.maximum(lower[binary], 0.0)
         upper[binary] = np.minimum(upper[binary], 1.0)
 
-    root_sol, root_state = solve_lp_with_state(layout.program(lower, upper))
+    root_lp = layout.program(lower, upper)
+    if root_state is None:
+        root_sol, root_state = solve_lp_with_state(root_lp)
+    else:
+        root_sol, root_state = solve_lp_warm(root_lp, root_state)
+        # No child starts from the given state: drop its factorization.
+        layout.last_factor = None
     nodes = 1
     if root_sol.status == STATUS_INFEASIBLE:
         return MILPSolution(status=STATUS_INFEASIBLE, nodes=nodes)
@@ -163,4 +179,5 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
     gap = max(0.0, incumbent_val - final_bound)
     return MILPSolution(status=STATUS_OPTIMAL, x=incumbent.x.copy(),
                         objective=incumbent.objective,
-                        best_bound=final_bound, gap=gap, nodes=nodes)
+                        best_bound=final_bound, gap=gap, nodes=nodes,
+                        root_pivots=root_sol.iterations, root_state=root_state)

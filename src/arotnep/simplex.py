@@ -11,8 +11,10 @@ pricing with a switch to Bland's rule once a degeneracy counter trips, and
 a bounded dual simplex used to warm-start from a dual-feasible basis after
 bound changes (the branch-and-bound layer relies on this). The dual prices
 its reduced costs once and then updates them from each pivot row, pricing
-afresh only after a refactorization. Cold and warm solves end alike: a
-primal polish that re-prices until the optimum is clean, then extraction.
+afresh only after a refactorization; it builds the masks of columns that
+may enter from a bound once and updates the two a pivot moves. Cold and
+warm solves end alike: a primal polish that re-prices until the optimum is
+clean, then extraction.
 
 What does not depend on the bounds (the constraint matrix, its structural
 nonzeros, ``b``, the costs, the unit-column index, validation) lives in a
@@ -49,10 +51,12 @@ solver refactors and redoes the iteration when the pivot element is tiny
 next to its column or, in the dual simplex, disagrees with the same
 element of the pivot row (BTRAN against FTRAN); and a non-finite basic
 value after a kernel-form pivot raises :class:`NumericalError` (a warm
-start then falls back to a cold solve). The polish refactors a dense
-inverse before it re-prices; a kernel-form one recomputes the basic values
-through its eta file and refactors only when they miss the rows by more
-than the primal tolerance.
+start then falls back to a cold solve). The primal simplex counts the etas
+a warm start's dual left in the file toward its refactor period, so the
+file never outgrows one period. The polish refactors a dense inverse
+before it re-prices; a kernel-form one recomputes the basic values through
+its eta file and refactors only when they miss the rows by more than the
+primal tolerance, and otherwise keeps the last pricing of its primal pass.
 
 Dual sign convention
 --------------------
@@ -181,6 +185,17 @@ class BasisState:
 
     basis: np.ndarray
     status: np.ndarray
+
+    def extended(self, col_map: np.ndarray, n_total: int,
+                 new_basic: np.ndarray) -> BasisState:
+        """This state on an LP with added rows and columns: column ``j``
+        becomes column ``col_map[j]`` of ``n_total``, the columns
+        ``new_basic`` (one per added row) become basic and every other new
+        column is nonbasic at its lower bound."""
+        status = np.full(n_total, _AT_LOWER, dtype=np.int8)
+        status[col_map] = self.status
+        status[new_basic] = _BASIC
+        return BasisState(np.concatenate([col_map[self.basis], new_basic]), status)
 
 
 class Layout:
@@ -580,7 +595,9 @@ class _Simplex:
             else:
                 degenerate = 0
                 bland = False
-            if outcome == "pivot" and since_refactor >= _REFACTOR_PERIOD:
+            # The eta file may already hold a warm start's dual pivots;
+            # counting them keeps it within one refactor period.
+            if outcome == "pivot" and max(since_refactor, self.n_etas) >= _REFACTOR_PERIOD:
                 self._refactor()
                 since_refactor = 0
 
@@ -642,12 +659,18 @@ class _Simplex:
 
         The reduced costs ``self.r`` are priced once and after each
         refactorization; a pivot updates them from the pivot row ``alpha``
-        it forms anyway: ``r -= (r_q / alpha_q) * alpha``."""
+        it forms anyway: ``r -= (r_q / alpha_q) * alpha``.  The bounds do
+        not change here, so the masks of columns that may enter from their
+        lower or upper bound (``self.from_low``, ``self.from_up``) are built
+        once and a pivot updates the two columns whose status it changes."""
         tol_d = 1e-9 * (1.0 + float(np.max(np.abs(c))))
         since_refactor = 0
         bland = False
         stalls = 0
         self.r = r = self._reduced_costs(c)
+        movable = self.upper - self.lower > 0.0
+        self.from_low = from_low = (self.stat == _AT_LOWER) & movable
+        self.from_up = from_up = (self.stat == _AT_UPPER) & movable
         while True:
             if self.iterations >= self.max_iter:
                 raise NumericalError(f"dual simplex iteration cap ({self.max_iter}) exceeded")
@@ -663,13 +686,12 @@ class _Simplex:
             below = low_viol[k] >= up_viol[k]
 
             alpha = self._times_a(self._row(k))
-            span_ok = self.upper - self.lower > 0.0
             if below:
-                ok_low = (self.stat == _AT_LOWER) & span_ok & (alpha < -1e-9)
-                ok_up = (self.stat == _AT_UPPER) & span_ok & (alpha > 1e-9)
+                ok_low = from_low & (alpha < -1e-9)
+                ok_up = from_up & (alpha > 1e-9)
             else:
-                ok_low = (self.stat == _AT_LOWER) & span_ok & (alpha > 1e-9)
-                ok_up = (self.stat == _AT_UPPER) & span_ok & (alpha < -1e-9)
+                ok_low = from_low & (alpha > 1e-9)
+                ok_up = from_up & (alpha < -1e-9)
             eligible = np.flatnonzero(ok_low | ok_up)
             if eligible.size == 0:
                 return STATUS_INFEASIBLE
@@ -688,7 +710,11 @@ class _Simplex:
                 since_refactor = 0
                 continue
             bound = lb[k] if below else ub[k]
+            p = int(self.basis[k])
             self._pivot(k, q, w, (xb[k] - bound) / w[k], not below)
+            from_low[q] = from_up[q] = False
+            from_low[p] = below and movable[p]
+            from_up[p] = not below and movable[p]
             r_q = r[q]
             r -= (r_q / alpha[q]) * alpha
             r[self.basis] = 0.0
@@ -730,7 +756,9 @@ def _polish(sx: _Simplex) -> str:
     the optimum is clean.  A dense inverse is refactored before each
     re-pricing.  A kernel-form one recomputes the basic values through its
     eta file and is refactored only when they leave a row residual
-    ``max|b - A x|`` above ``tol_p``."""
+    ``max|b - A x|`` above ``tol_p``; otherwise its basis and eta file are
+    the ones ``optimize`` last priced and found optimal, and that pricing
+    stands."""
     tol_d = 1e-9 * (1.0 + float(np.max(np.abs(sx.c))))
     for _ in range(3):
         status = sx.optimize(sx.c)
@@ -740,8 +768,9 @@ def _polish(sx: _Simplex) -> str:
             sx._refactor()
         else:
             sx._recompute_basic_values()
-            if float(np.max(np.abs(sx.b - sx._a_times(sx.x)))) > sx.tol_p:
-                sx._refactor()
+            if float(np.max(np.abs(sx.b - sx._a_times(sx.x)))) <= sx.tol_p:
+                break
+            sx._refactor()
         q, _ = sx._choose_entering(sx._reduced_costs(sx.c), tol_d, False)
         if q is None:
             break
@@ -780,8 +809,10 @@ def solve_lp_warm(lp: LinearProgram,
                   state: BasisState) -> tuple[LPSolution, BasisState | None]:
     """Resolve ``lp`` starting from a basis of a bound-modified relative.
 
-    The basis must come from an LP with identical rows and objective; only
-    variable bounds may differ.  The dual simplex restores primal
+    The basis must be dual feasible for ``lp``: the optimal basis of an LP
+    with identical rows and objective whose bounds differ, or one extended
+    to added rows by :meth:`BasisState.extended` so that it stays dual
+    feasible.  The dual simplex restores primal
     feasibility and the polish ends the solve as a cold one ends.  An LP
     from :meth:`Layout.program` reuses its layout, and the factorization of
     ``state`` when the previous warm start on that layout began from the

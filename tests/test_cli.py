@@ -170,16 +170,19 @@ def test_plan_writes_outputs_and_exits_zero(tmp_path, capsys):
 
     log = (tmp_path / "out" / "iterations.csv").read_text().splitlines()
     assert log[0] == ("nu,z_up,z_lo,gap,investment,worst_cost,built,"
-                      "master_nodes,runtime_s")
+                      "master_nodes,master_root_pivots,runtime_s")
     assert len(log) == 1 + plan["outer_iterations"]
     # The last iteration converges before it would solve a master.
-    nodes = [int(row.split(",")[-2]) for row in log[1:]]
+    nodes = [int(row.split(",")[-3]) for row in log[1:]]
     assert nodes[-1] == 0 and all(n >= 1 for n in nodes[:-1])
+    pivots = [int(row.split(",")[-2]) for row in log[1:]]
+    assert pivots[-1] == 0
 
 
 def test_plan_logs_master_nodes_on_bundled_study(tmp_path):
-    # Branch-and-bound ties, and so the node counts, depend on how threaded
-    # BLAS sums; the counts below hold for one BLAS thread.
+    # Branch-and-bound ties, and so the node and pivot counts, depend on how
+    # threaded BLAS sums; the counts below hold for one BLAS thread.  Only
+    # the first master solves its root cold.
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", cli.OUTPUT_DIR_ENV: str(tmp_path),
            "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-m", "arotnep.cli", "plan", "--config",
@@ -188,7 +191,8 @@ def test_plan_logs_master_nodes_on_bundled_study(tmp_path):
     assert proc.returncode == 0, proc.stderr
     with open(tmp_path / "iterations.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert [int(row["master_nodes"]) for row in rows] == [163, 87, 83, 35, 0]
+    assert [int(row["master_nodes"]) for row in rows] == [163, 83, 73, 37, 0]
+    assert [int(row["master_root_pivots"]) for row in rows] == [226, 136, 271, 201, 0]
     plan = json.loads((tmp_path / "plan.json").read_text())
     assert plan["built"] == ["C2-6a", "C2-6b", "C2-6c", "C3-5a", "C3-5b",
                              "C4-6a", "C4-6b"]

@@ -6,10 +6,14 @@ budget-feasible candidate subsets for the master, and hand-derived
 convergence points for the two-bus network.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
 from arotnep import decomp as dc
+from arotnep import milp as milp_module
+from arotnep import simplex as simplex_module
 from arotnep.config import build_uncertainty, load_configured_network, load_study_config
 from arotnep.datasets import study_path
 from arotnep.decomp import (
@@ -312,7 +316,10 @@ def highs_master(problem, exclude=None):
 
 
 @pytest.mark.parametrize("n_scen", [1, 2, 3, 4])
-def test_master_matches_highs_on_garver_study(n_scen, monkeypatch):
+def test_master_matches_highs_on_garver_study(n_scen, monkeypatch, caplog):
+    # From two scenarios on, the master is solved again with its root
+    # started from the optimal root basis of the master over all scenarios
+    # but the last, which the dual simplex must take without a cold fallback.
     pytest.importorskip("scipy")
     cfg = load_study_config(study_path("garver6_study"))
     net = load_configured_network(cfg)
@@ -338,12 +345,30 @@ def test_master_matches_highs_on_garver_study(n_scen, monkeypatch):
     ref = highs_master(problem)
     assert ref.status == 0
     assert res.objective == pytest.approx(ref.fun, rel=1e-6)
+    if n_scen > 1:
+        previous = solve_master(net, scenarios[:-1])
+        with caplog.at_level(logging.DEBUG, logger="arotnep.simplex"):
+            warm = solve_master(net, scenarios, root_state=previous.root_state)
+        assert not [r for r in caplog.records if "fell back" in r.getMessage()]
+        assert warm.objective == pytest.approx(res.objective, rel=1e-9)
+        assert warm.objective == pytest.approx(ref.fun, rel=1e-6)
     xbin = np.round(ref.x[problem.binary]).astype(int)
     runner_up = highs_master(problem, exclude=xbin)
     if runner_up.status == 0 and runner_up.fun <= ref.fun * (1.0 + 1e-6):
         return  # another plan ties; the built set is not determined
     built = frozenset(ln.id for ln, x in zip(net.candidate_lines, xbin) if x == 1)
     assert res.built == built
+
+
+def test_master_root_state_must_come_from_one_scenario_fewer(twobus):
+    point = np.array([200.0, 66.0])
+    state = solve_master(twobus, [point]).root_state
+    for count in (1, 3):
+        with pytest.raises(ValidationError, match="one scenario fewer"):
+            solve_master(twobus, [point] * count, root_state=state)
+    warm = solve_master(twobus, [point, point], root_state=state)
+    assert warm.objective == pytest.approx(
+        solve_master(twobus, [point, point]).objective, rel=1e-9)
 
 
 def test_master_scenario_size_mismatch_rejected(twobus):
@@ -412,6 +437,29 @@ def test_outer_zero_radius_matches_nominal_master(garver_annual):
     assert plan.built == oracle.built
     assert plan.objective == pytest.approx(oracle.objective, rel=1e-6)
     assert_lower_bounds_monotone(plan)
+
+
+def test_outer_solves_one_master_root_cold(monkeypatch):
+    # Cold solves of branch-and-bound LPs are root solves or fallbacks of
+    # warm starts; after the first master every root starts warm.
+    cfg = load_study_config(study_path("garver6_study"))
+    net = load_configured_network(cfg)
+    es = build_uncertainty(cfg, net)
+    cold_rows = []
+    for module in (milp_module, simplex_module):
+        def counted(lp, _clean=module.solve_lp_with_state):
+            if lp._layout is not None:
+                cold_rows.append(lp.b_eq.size + lp.b_ub.size)
+            return _clean(lp)
+        monkeypatch.setattr(module, "solve_lp_with_state", counted)
+    plan = outer_solve(net, es, tol=cfg.tolerance, max_outer=cfg.max_outer,
+                       inner_tol=cfg.tolerance, max_inner=cfg.max_inner,
+                       inner_starts=cfg.inner_starts, seed=cfg.seed,
+                       master_gap=cfg.tolerance)
+    masters = [it for it in plan.iterations if it.master_nodes]
+    assert len(masters) >= 2
+    assert len(cold_rows) == 1
+    assert all(it.master_root_pivots > 0 for it in masters)
 
 
 def test_outer_iteration_cap_reports_limit(twobus_annual):

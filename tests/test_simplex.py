@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from arotnep.errors import NumericalError, ValidationError
 from arotnep.simplex import (
+    _AT_LOWER,
+    _AT_UPPER,
     _DENSE_MAX_ROWS,
     BasisState,
     LinearProgram,
@@ -483,6 +485,77 @@ def test_dual_updates_reduced_costs_from_the_pivot_row(seed):
     sx._row, sx._refactor, sx._drifted = clean_row, clean_refactor, clean_drifted
     sol, _ = _finish(sx, "optimal")
     assert sol.objective == pytest.approx(solve_lp(lp2).objective, rel=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dual_keeps_its_entering_masks_across_pivots(seed):
+    # The masks of columns that may enter from a bound are built once and
+    # updated at each pivot; at every iteration (read at the pivot row) they
+    # must equal masks built afresh from the statuses and bounds.  Every
+    # third eta forces a drift refactor, which must leave them as they are.
+    sx, lp2 = pinned_kernel_simplex(5700 + seed)
+    clean_row, clean_refactor, clean_drifted = sx._row, sx._refactor, sx._drifted
+    seen = {"checks": 0, "refactors": 0}
+
+    def check():
+        movable = sx.upper - sx.lower > 0.0
+        assert np.array_equal(sx.from_low, (sx.stat == _AT_LOWER) & movable)
+        assert np.array_equal(sx.from_up, (sx.stat == _AT_UPPER) & movable)
+        seen["checks"] += 1
+
+    def row(k):
+        check()
+        return clean_row(k)
+
+    def refactor():
+        clean_refactor()
+        seen["refactors"] += 1
+
+    sx._row, sx._refactor = row, refactor
+    sx._drifted = lambda w, k, alpha_k=None: sx.n_etas >= 3 or clean_drifted(w, k, alpha_k)
+    assert sx.dual_optimize(sx.c) == "optimal"
+    check()
+    assert seen["checks"] >= 5 and seen["refactors"] >= 2
+    sx._row, sx._refactor, sx._drifted = clean_row, clean_refactor, clean_drifted
+    sol, _ = _finish(sx, "optimal")
+    assert sol.objective == pytest.approx(solve_lp(lp2).objective, rel=1e-9)
+
+
+def test_clean_warm_solve_prices_its_final_basis_once(monkeypatch, caplog):
+    # The dual ends optimal and the polish's primal pass finds no entering
+    # column.  Without a refactor, the polish keeps the basis and eta file
+    # that pass priced, so the solve prices twice: at the dual's start and
+    # in that pass.
+    rng = np.random.default_rng(6002)
+    n = 60
+    lp = random_box_lp(rng, n, 200, m_eq=10)
+    _, state = solve_lp_with_state(lp)
+    pinned = rng.choice(n, size=2, replace=False)
+    lower2, upper2 = lp.lower.copy(), lp.upper.copy()
+    lower2[pinned] = upper2[pinned] = rng.uniform(lp.lower[pinned], lp.upper[pinned])
+    lp2 = LinearProgram(lp.objective, a_eq=lp.a_eq, b_eq=lp.b_eq, a_ub=lp.a_ub,
+                        b_ub=lp.b_ub, lower=lower2, upper=upper2)
+    assert not _Simplex(lp2).dense
+    cold = solve_lp(lp2)
+    calls = {"_reduced_costs": 0, "_primal_step": 0, "_refactor": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _clean=getattr(_Simplex, name)):
+            calls[_name] += 1
+            return _clean(self, *args)
+        monkeypatch.setattr(_Simplex, name, counted)
+    with caplog.at_level(logging.DEBUG, logger="arotnep.simplex"):
+        warm, _ = solve_lp_warm(lp2, state)
+    assert not caplog.records
+    assert warm.status == "optimal" and warm.iterations > 0
+    assert calls == {"_reduced_costs": 2, "_primal_step": 0, "_refactor": 0}
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
+def test_basis_state_extends_to_added_rows_and_columns():
+    state = BasisState(np.array([2, 0]), np.array([0, 1, 0, 2], dtype=np.int8))
+    grown = state.extended(np.array([0, 1, 3, 4]), 7, np.array([6]))
+    assert grown.basis.tolist() == [3, 0, 6]
+    assert grown.status.tolist() == [0, 1, _AT_LOWER, 0, 2, _AT_LOWER, 0]
 
 
 @pytest.mark.parametrize("drift", [0.0, 1e-6], ids=["clean", "drifted"])

@@ -51,12 +51,16 @@ solver refactors and redoes the iteration when the pivot element is tiny
 next to its column or, in the dual simplex, disagrees with the same
 element of the pivot row (BTRAN against FTRAN); and a non-finite basic
 value after a kernel-form pivot raises :class:`NumericalError` (a warm
-start then falls back to a cold solve). The primal simplex counts the etas
-a warm start's dual left in the file toward its refactor period, so the
-file never outgrows one period. The polish refactors a dense inverse
-before it re-prices; a kernel-form one recomputes the basic values through
-its eta file and refactors only when they miss the rows by more than the
-primal tolerance, and otherwise keeps the last pricing of its primal pass.
+start then falls back to a cold solve). The primal ratio test takes no
+row whose entry in the entering column is smaller than
+``_PRIMAL_PIVOT_TOL``, so the rounding residue of an exact zero never
+becomes a pivot, which no refactorization could undo. The primal simplex
+counts the etas a warm start's dual left in the file toward its refactor
+period, so the file never outgrows one period. The polish refactors a
+dense inverse before it re-prices; a kernel-form one recomputes the basic
+values through its eta file and refactors only when they miss the rows by
+more than the primal tolerance, and otherwise keeps the last pricing of
+its primal pass.
 
 Dual sign convention
 --------------------
@@ -89,6 +93,10 @@ _AT_UPPER = 2
 
 _REFACTOR_PERIOD = 100
 _BLAND_TRIP = 40
+# The primal ratio test skips rows whose entering-column entry is smaller:
+# on a master MILP such an entry can be the rounding residue of an exact
+# zero, and pivoting on it makes the basis singular.
+_PRIMAL_PIVOT_TOL = 1e-7
 # Bases with more rows keep the kernel-form inverse, smaller ones a dense
 # one (see the module docstring for the measured crossover).
 _DENSE_MAX_ROWS = 170
@@ -536,8 +544,8 @@ class _Simplex:
         t_best = np.inf
         k_best = -1
         hit_upper = False
-        pos = weff > 1e-9
-        neg = weff < -1e-9
+        pos = weff > _PRIMAL_PIVOT_TOL
+        neg = weff < -_PRIMAL_PIVOT_TOL
         with np.errstate(invalid="ignore"):
             t_pos = np.where(pos, (xb - lb) / np.where(pos, weff, 1.0), np.inf)
             t_neg = np.where(neg, (ub - xb) / np.where(neg, -weff, 1.0), np.inf)

@@ -4,9 +4,9 @@ Three subcommands drive a study file (see :mod:`arotnep.config`):
 
 ``plan``
     Run the master/worst-case decomposition and write ``plan.json``
-    (machine-readable, byte-reproducible under a fixed seed) plus
-    ``iterations.csv`` (the outer-loop log; its runtime column is wall
-    clock and not reproducible).
+    (machine-readable, byte-reproducible, priced by dispatch LPs alone) plus
+    ``iterations.csv`` (the outer-loop log; its runtime column is wall clock,
+    its master node and pivot counts move with the BLAS thread count).
 ``validate``
     Price a previously written plan by Monte Carlo sampling and write
     ``validation.csv``.  Refuses to run when the network file no longer

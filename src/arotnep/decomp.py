@@ -13,12 +13,10 @@ worst-case operational subproblem:
   covers dispatch under every worst-case point collected so far, within the
   investment budget.
 
-Upper bounds come from pricing the master's plan against its worst case,
-lower bounds from the master itself.  Because the ascent is a heuristic, a
-plan's price is only trusted once it covers dispatch under every stored
-scenario; otherwise the ascent is restarted from the most expensive stored
-point.  The loop stops when the relative gap closes, when the worst-case
-search stops producing new points (stall), or at the iteration cap.
+Both bounds read one table of dispatch costs, each visited plan at each
+stored scenario (see :func:`outer_solve`).  The loop stops when the gap
+closes, when the worst-case search stops producing new points (stall), or
+at the iteration cap.
 
 Each iteration adds one scenario, so master ``k + 1`` is master ``k`` plus
 one dispatch block.  Only the first master solves its root LP cold; every
@@ -346,11 +344,7 @@ class PlanResult:
 
 
 def _relative_gap(z_up: float, z_lo: float) -> float:
-    diff = z_up - z_lo
-    tiny = 1e-12
-    if abs(diff) <= tiny:
-        return 0.0
-    return diff / max(abs(z_up), tiny)
+    return (z_up - z_lo) / max(abs(z_up), 1e-12)
 
 
 def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
@@ -363,89 +357,93 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
     plan against its worst case (upper bound), add that worst point as a
     master scenario, and re-plan (lower bound).
 
-    The ascent that prices a plan is a heuristic, so its estimate is
-    certified before it is trusted: the plan is replayed against every
-    stored scenario, and if some stored point costs more than the ascent
-    found, the ascent is resumed from that point (each sweep is
-    nondecreasing, so resuming can only raise the estimate).  Stored plans
-    are likewise re-replayed whenever a new scenario arrives.  Every
-    retained price therefore covers the whole scenario pool, which keeps
-    the upper bound (the cheapest certified plan) at or above the master's
-    lower bound.
+    Every dispatch price comes from one table, each visited plan's cost at
+    each stored scenario, solved once.  A plan's price is the larger of its
+    last ascent and its costliest stored scenario (an earlier ascent that
+    set the price was stored).  ``z_up`` is the cheapest price, ``z_lo``
+    the master's plan priced over the stored scenarios; a master objective
+    off ``z_lo``, or a ``z_lo`` above ``z_up``, by more than ``master_gap``
+    raises :class:`NumericalError`.
     """
     scenarios: list[np.ndarray] = []
     log: list[OuterIteration] = []
     built: frozenset[str] = frozenset()
     z_lo = -np.inf
-    # Certified pricing per visited plan: investment, ceiling, certificate.
-    candidates: dict[frozenset, tuple[float, float, InnerResult]] = {}
+    costs: dict[frozenset, list[float]] = {}  # plan -> cost at each scenario
+    searched: dict[frozenset, InnerResult] = {}  # last ascent per plan
     stall_tol = 1e-6 * (1.0 + float(np.max(np.abs(es.mean))))
 
-    def certify(plan: frozenset, raw: InnerResult) -> InnerResult:
-        if not scenarios:
-            return raw
-        replay = [solve_opf(net, d=s, built=plan) for s in scenarios]
-        k = int(np.argmax([r.objective for r in replay]))
-        covered = (replay[k].objective
-                   <= raw.worst_cost + 1e-9 * (1.0 + abs(raw.worst_cost)))
-        if covered:
-            return raw
-        climb = inner_solve(net, es, plan, tol=inner_tol, max_iter=max_inner,
-                            start=scenarios[k])
-        if climb.worst_cost >= replay[k].objective:
-            return climb
-        return InnerResult(replay[k].objective, scenarios[k].copy(),
-                           replay[k], 1, True, [replay[k].objective])
+    def stored_worst(plan: frozenset) -> tuple[float, int]:
+        """Cost and index of ``plan``'s costliest stored scenario."""
+        row = costs.setdefault(plan, [])
+        row.extend(solve_opf(net, d=s, built=plan).objective
+                   for s in scenarios[len(row):])
+        k, q = max(enumerate(row), key=lambda kq: kq[1], default=(-1, -np.inf))
+        return q, k
+
+    def price(plan: frozenset) -> tuple[float, np.ndarray]:
+        """``plan``'s worst cost and a point attaining it."""
+        q, k = stored_worst(plan)
+        best = searched[plan]
+        if q > best.worst_cost:
+            return q, scenarios[k]
+        return best.worst_cost, best.worst_point
+
+    def upper_bound() -> tuple[frozenset, float]:
+        totals = {p: investment_cost(net, p) + price(p)[0] for p in searched}
+        plan = min(totals, key=totals.get)
+        if z_lo > totals[plan] + master_gap:
+            raise NumericalError(f"lower bound {z_lo!r} exceeds upper bound "
+                                 f"{totals[plan]!r} by more than {master_gap:g}")
+        return plan, totals[plan]
 
     # The last master's root basis, which starts the next master's root.
     root_state: BasisState | None = None
     status = "iteration_limit"
     for nu in range(1, max_outer + 1):
         tick = time.perf_counter()
-        inner = certify(built, worst_case_cost(net, es, built, tol=inner_tol,
-                                               max_iter=max_inner,
-                                               starts=inner_starts, seed=seed))
-        invest = investment_cost(net, built)
-        prior = candidates.get(built)
-        if prior is None or inner.worst_cost > prior[1]:
-            candidates[built] = (invest, inner.worst_cost, inner)
-        z_up = min(inv + q for inv, q, _ in candidates.values())
-        gap = _relative_gap(z_up, z_lo) if np.isfinite(z_lo) else np.inf
-        log.append(OuterIteration(nu=nu, built=built, investment=invest,
-                                  worst_cost=inner.worst_cost, z_up=z_up,
-                                  z_lo=z_lo, gap=gap, master_nodes=0,
-                                  master_root_pivots=0,
+        search = worst_case_cost(net, es, built, tol=inner_tol, max_iter=max_inner,
+                                 starts=inner_starts, seed=seed)
+        q, k = stored_worst(built)
+        if q > search.worst_cost:  # the ascent missed a costlier stored point
+            search = inner_solve(net, es, built, tol=inner_tol, max_iter=max_inner,
+                                 start=scenarios[k])
+        searched[built] = search
+        worst_cost, point = price(built)
+        z_up = upper_bound()[1]
+        gap = _relative_gap(z_up, z_lo)
+        log.append(OuterIteration(nu=nu, built=built,
+                                  investment=investment_cost(net, built),
+                                  worst_cost=worst_cost, z_up=z_up, z_lo=z_lo,
+                                  gap=gap, master_nodes=0, master_root_pivots=0,
                                   runtime_s=time.perf_counter() - tick))
         if gap <= tol:
             status = "converged"
             break
-        repeated = any(float(np.max(np.abs(inner.worst_point - s))) <= stall_tol
-                       for s in scenarios)
-        if repeated:
+        if any(float(np.max(np.abs(point - s))) <= stall_tol for s in scenarios):
             status = "stalled"
             break
-        point = inner.worst_point.copy()
-        scenarios.append(point)
-        for plan, (inv, q, _) in list(candidates.items()):
-            sol = solve_opf(net, d=point, built=plan)
-            if sol.objective > q:
-                candidates[plan] = (inv, sol.objective,
-                                    InnerResult(sol.objective, point.copy(),
-                                                sol, 1, True, [sol.objective]))
+        scenarios.append(point.copy())
         master = solve_master(net, scenarios, gap_tol=master_gap,
                               root_state=root_state)
         root_state = master.root_state
         built = master.built
-        z_lo = master.objective
+        z_lo = master.investment + stored_worst(built)[0]
+        if abs(z_lo - master.objective) > master_gap:
+            raise NumericalError(f"master objective {master.objective!r} is off its "
+                                 f"priced plan {z_lo!r} by more than {master_gap:g}")
         log[-1].master_nodes = master.nodes
         log[-1].master_root_pivots = master.root_pivots
         log[-1].runtime_s = time.perf_counter() - tick
 
-    plan_built, (plan_inv, plan_q, plan_inner) = min(
-        candidates.items(), key=lambda kv: kv[1][0] + kv[1][1])
-    plan_up = plan_inv + plan_q
-    return PlanResult(status=status, built=plan_built, investment=plan_inv,
-                      worst_cost=plan_q, objective=plan_up,
-                      z_lo=z_lo, z_up=plan_up,
-                      gap=_relative_gap(plan_up, z_lo) if np.isfinite(z_lo) else np.inf,
-                      scenarios=scenarios, iterations=log, inner=plan_inner)
+    plan, z_up = upper_bound()
+    worst_cost, point = price(plan)
+    inner = searched[plan]
+    if point is not inner.worst_point:  # a stored scenario sets the price
+        inner = InnerResult(worst_cost, point.copy(),
+                            solve_opf(net, d=point, built=plan), 1, True, [worst_cost])
+    return PlanResult(status=status, built=plan,
+                      investment=investment_cost(net, plan), worst_cost=worst_cost,
+                      objective=z_up, z_lo=z_lo, z_up=z_up,
+                      gap=_relative_gap(z_up, z_lo), scenarios=scenarios,
+                      iterations=log, inner=inner)

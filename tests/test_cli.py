@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,24 +180,40 @@ def test_plan_writes_outputs_and_exits_zero(tmp_path, capsys):
     assert pivots[-1] == 0
 
 
+def readme_text_block():
+    """The plan summary that README's quick start shows."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("```text\n", 1)[1].split("```", 1)[0]
+
+
 def test_plan_logs_master_nodes_on_bundled_study(tmp_path):
     # Branch-and-bound ties, and so the node and pivot counts, depend on how
     # threaded BLAS sums; the counts below hold for one BLAS thread.  Only
-    # the first master solves its root cold.
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", cli.OUTPUT_DIR_ENV: str(tmp_path),
-           "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run([sys.executable, "-m", "arotnep.cli", "plan", "--config",
-                           str(study_path("garver6_study"))],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    with open(tmp_path / "iterations.csv", newline="") as fh:
+    # the first master solves its root cold.  Both bounds are priced by the
+    # small dispatch LPs, so plan.json does not depend on the thread count.
+    procs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               cli.OUTPUT_DIR_ENV: str(out), "PYTHONPATH": os.pathsep.join(sys.path)}
+        procs[threads] = subprocess.run(
+            [sys.executable, "-m", "arotnep.cli", "plan", "--config",
+             str(study_path("garver6_study"))], capture_output=True, text=True, env=env)
+        assert procs[threads].returncode == 0, procs[threads].stderr
+    with open(tmp_path / "1" / "iterations.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(row["master_nodes"]) for row in rows] == [163, 83, 73, 37, 0]
     assert [int(row["master_root_pivots"]) for row in rows] == [226, 136, 271, 201, 0]
-    plan = json.loads((tmp_path / "plan.json").read_text())
+    first = (tmp_path / "1" / "plan.json").read_bytes()
+    assert first == (tmp_path / "2" / "plan.json").read_bytes()
+    plan = json.loads(first)
     assert plan["built"] == ["C2-6a", "C2-6b", "C2-6c", "C3-5a", "C3-5b",
                              "C4-6a", "C4-6b"]
     assert plan["objective"] == pytest.approx(131.1628257905744, rel=1e-12)
+    assert plan["z_lo"] == plan["z_up"]
+    summary = [line for line in procs["1"].stdout.splitlines()
+               if not line.startswith("wrote ")]
+    assert summary == readme_text_block().splitlines()
 
 
 def test_plan_bytes_reproducible(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ convergence points for the two-bus network.
 """
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from arotnep.decomp import (
     worst_case_cost,
 )
 from arotnep.ellipsoid import EllipsoidalSet
-from arotnep.errors import IterationLimit, ValidationError
+from arotnep.errors import IterationLimit, NumericalError, ValidationError
 from arotnep.milp import solve_milp
 from arotnep.network import (
     LINE_CANDIDATE,
@@ -55,11 +56,16 @@ def onebus_dispatch_cost(net, cap, load):
         gen.marginal_cost * served + dem.shed_cost * (np.maximum(load, 0.0) - served))
 
 
-def assert_lower_bounds_monotone(plan):
+def assert_bounds_sound(plan, master_gap=1e-6):
+    """Lower bounds never fall, and none lies above its upper bound by more
+    than the master's gap."""
     lows = [it.z_lo for it in plan.iterations if np.isfinite(it.z_lo)]
     lows.append(plan.z_lo)
     for a, b in zip(lows, lows[1:]):
         assert b >= a - 1e-9 * (1.0 + abs(a))
+    for it in plan.iterations:
+        assert it.z_lo <= it.z_up + master_gap
+    assert plan.z_lo <= plan.z_up + master_gap
 
 
 def triangle_network():
@@ -400,7 +406,7 @@ def test_outer_builds_line_when_worth_it(twobus_annual):
 
 def test_outer_bounds_and_scenario_replay(twobus_annual):
     plan = outer_solve(twobus_annual, twobus_set(1.28155), seed=0)
-    assert_lower_bounds_monotone(plan)
+    assert_bounds_sound(plan)
     assert plan.z_lo <= plan.z_up + 1e-9 * (1.0 + abs(plan.z_up))
     ceiling = plan.z_lo - plan.investment
     for scen in plan.scenarios:
@@ -436,7 +442,7 @@ def test_outer_zero_radius_matches_nominal_master(garver_annual):
     oracle = solve_master(garver_annual, [garver_annual.nominal_uncertain()])
     assert plan.built == oracle.built
     assert plan.objective == pytest.approx(oracle.objective, rel=1e-6)
-    assert_lower_bounds_monotone(plan)
+    assert_bounds_sound(plan)
 
 
 def test_outer_solves_one_master_root_cold(monkeypatch):
@@ -472,18 +478,59 @@ def test_outer_iteration_cap_reports_limit(twobus_annual):
     assert plan.z_lo < plan.z_up
 
 
+def fake_search(point):
+    """A worst-case search that always returns ``point``, priced exactly."""
+    def search(net, es, built=frozenset(), **kwargs):
+        sol = solve_opf(net, d=point, built=built)
+        return InnerResult(worst_cost=sol.objective, worst_point=point,
+                           dispatch=sol, iterations=1, converged=True,
+                           history=[sol.objective])
+    return search
+
+
 def test_outer_repeated_worst_point_stalls(monkeypatch, twobus):
+    # The search overstates the no-build plan's cost at its point, so the
+    # bounds stay apart until the point comes back.
     point = np.array([150.0, 70.0])
+    cost = solve_opf(twobus, d=point).objective
     fake_inner = InnerResult(worst_cost=100.0, worst_point=point,
                              dispatch=None, iterations=1, converged=True,
                              history=[100.0])
-    fake_master = MasterResult(built=frozenset(), gamma=90.0,
-                               investment=0.0, objective=90.0, nodes=0)
+    fake_master = MasterResult(built=frozenset(), gamma=cost,
+                               investment=0.0, objective=cost, nodes=0)
     monkeypatch.setattr(dc, "worst_case_cost", lambda *a, **k: fake_inner)
     monkeypatch.setattr(dc, "solve_master", lambda *a, **k: fake_master)
     plan = dc.outer_solve(twobus, twobus_set(1.0))
     assert plan.status == "stalled"
     assert plan.objective == pytest.approx(100.0)
-    assert plan.z_lo == pytest.approx(90.0)
-    assert plan.gap == pytest.approx(0.1)
+    assert plan.z_lo == cost
+    assert plan.gap == pytest.approx((100.0 - cost) / 100.0)
     assert len(plan.scenarios) == 1
+
+
+def test_outer_master_objective_off_its_priced_plan_raises(monkeypatch, twobus):
+    # The master claims 90 for a plan that prices at 56.064 at its scenario.
+    point = np.array([150.0, 70.0])
+    fake_master = MasterResult(built=frozenset(), gamma=90.0,
+                               investment=0.0, objective=90.0, nodes=0)
+    monkeypatch.setattr(dc, "worst_case_cost", fake_search(point))
+    monkeypatch.setattr(dc, "solve_master", lambda *a, **k: fake_master)
+    with pytest.raises(NumericalError, match="master objective 90.0"):
+        dc.outer_solve(twobus, twobus_set(1.0))
+
+
+def test_outer_lower_bound_above_upper_bound_raises(monkeypatch, twobus):
+    # At light load nothing is shed, so building the line only adds its
+    # cost: a master that builds it is priced consistently but lies above
+    # the no-build plan's price.
+    net = replace(twobus, budget=20.0)
+    point = np.array([200.0, 30.0])
+    built = frozenset({"C1-2a"})
+    invest = investment_cost(net, built)
+    objective = invest + solve_opf(net, d=point, built=built).objective
+    fake_master = MasterResult(built=built, gamma=objective - invest,
+                               investment=invest, objective=objective, nodes=0)
+    monkeypatch.setattr(dc, "worst_case_cost", fake_search(point))
+    monkeypatch.setattr(dc, "solve_master", lambda *a, **k: fake_master)
+    with pytest.raises(NumericalError, match="exceeds upper bound"):
+        dc.outer_solve(net, twobus_set(1.0))

@@ -11,7 +11,9 @@ worst-case operational subproblem:
   stopping at a poor local maximizer.
 * the *master* chooses candidate lines (binaries) and a cost ceiling that
   covers dispatch under every worst-case point collected so far, within the
-  investment budget.
+  investment budget.  It stacks one :func:`~.opf.dispatch_block` per
+  scenario, with the candidates' big-M rows from
+  :func:`~.opf.switching_rows` on each.
 
 Both bounds read one table of dispatch costs, each visited plan at each
 stored scenario (see :func:`outer_solve`).  The loop stops when the gap
@@ -21,13 +23,14 @@ at the iteration cap.
 Each iteration adds one scenario, so master ``k + 1`` is master ``k`` plus
 one dispatch block.  Only the first master solves its root LP cold; every
 later root starts from the previous root's optimal basis, extended by the
-new block: the artificials of its equality rows and the slacks of its
-big-M, capacity and cost-cut rows become basic, its dispatch columns
-nonbasic at their lower bounds.  Those basic columns have zero cost and
-appear only in the new rows, so the new rows' duals are 0, the old duals
-and every reduced cost are unchanged (the new columns' are their zero
-costs), and the extended basis is dual feasible: the dual simplex repairs
-the new block's values and its violated cost cut.
+new block (:meth:`~.simplex.BasisState.extended`): the artificials of its
+equality rows and the slacks of its big-M, capacity and cost-cut rows
+become basic, its dispatch columns nonbasic at their lower bounds.  Those
+basic columns have zero cost and appear only in the new rows, so the new
+rows' duals are 0, the old duals and every reduced cost are unchanged (the
+new columns' are their zero costs), and the extended basis is dual
+feasible: the dual simplex repairs the new block's values and its violated
+cost cut.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ from .ellipsoid import EllipsoidalSet
 from .errors import IterationLimit, NumericalError, ValidationError
 from .milp import MILPProblem, solve_milp
 from .network import LINE_EXISTING, Network
-from .opf import (ANGLE_BOUND, OPFSolution, clip_uncertain, dispatch_block,
-                  solve_opf)
+from .opf import (OPFSolution, clip_uncertain, dispatch_block, solve_opf,
+                  switching_rows)
 from .simplex import BasisState, LinearProgram
 
 # ---------------------------------------------------------------------------
@@ -160,32 +163,6 @@ def _identical_chains(candidates) -> list[list[int]]:
     return [chain for chain in groups.values() if len(chain) > 1]
 
 
-def _extend_root_state(state: BasisState, n_var: int, n_block: int,
-                       m_eq: int, m_eq_block: int, m_ub: int, m_ub_block: int,
-                       tail: int) -> BasisState:
-    """``state``, the root basis of the master over all scenarios but the
-    last, on the master over all of them (``n_var`` structural columns,
-    ``m_eq`` and ``m_ub`` rows, ``tail`` budget and symmetry rows ending
-    ``a_ub``).  The last block's columns come last and its equality rows
-    after the others; its ``<=`` rows go before the tail rows, which moves
-    the tail's slacks and artificials.  Its artificials and slacks enter
-    the basis (see the module docstring)."""
-    ub_block0 = m_ub - m_ub_block - tail  # first <= row of the last block
-    # New index of every old <= row, and of every old row in [eq | ub].
-    ub_map = np.concatenate([np.arange(ub_block0),
-                             np.arange(ub_block0, ub_block0 + tail) + m_ub_block])
-    row_map = np.concatenate([np.arange(m_eq - m_eq_block), m_eq + ub_map])
-    # Columns in the layout order [structural | slacks | artificials].
-    col_map = np.concatenate([np.arange(n_var - n_block), n_var + ub_map,
-                              n_var + m_ub + row_map])
-    if state.status.size != col_map.size or state.basis.size != row_map.size:
-        raise ValidationError("root state does not come from the master over "
-                              "one scenario fewer")
-    new_basic = np.concatenate([n_var + m_ub + np.arange(m_eq - m_eq_block, m_eq),
-                                n_var + np.arange(ub_block0, ub_block0 + m_ub_block)])
-    return state.extended(col_map, n_var + 2 * m_ub + m_eq, new_basic)
-
-
 def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6,
                  root_state: BasisState | None = None) -> MasterResult:
     """Pick candidate lines minimizing investment plus the worst dispatch
@@ -204,16 +181,18 @@ def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6,
         return MasterResult(frozenset(), 0.0, 0.0, 0.0, 0)
 
     lines = list(net.lines)
+    # The uncoupled lines are the candidates, in order.
     coupled = [ln.status == LINE_EXISTING for ln in lines]
     n_scen = len(scenarios)
 
     # Columns: candidate binaries, the cost ceiling, then one dispatch block
-    # [g | s | f | theta] per scenario.
+    # per scenario.  Each block's <= rows are the candidates' switching rows
+    # and the block's cost cut.
     blocks = [dispatch_block(net, lines, scen, coupled) for scen in scenarios]
+    sw, sw_x, sw_b = switching_rows(net, lines, coupled)
     n_block = blocks[0][0].size
     m_eq_block = blocks[0][2].size
-    off_f = len(net.generators) + len(net.demands)
-    off_t = off_f + len(lines)
+    m_ub_block = sw_b.size + 1
     off_gamma = n_cand
     n_var = n_cand + 1 + n_scen * n_block
 
@@ -225,7 +204,6 @@ def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6,
     upper = np.full(n_var, np.inf)
     upper[:n_cand] = 1.0
 
-    m_ub_block = 4 * n_cand + 1
     chains = _identical_chains(candidates)
     n_prec = sum(len(ch) - 1 for ch in chains)
     m_ub = n_scen * m_ub_block + 1 + n_prec
@@ -235,48 +213,20 @@ def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6,
     a_ub = np.zeros((m_ub, n_var))
     b_ub = np.zeros(m_ub)
 
-    cand_pos = {ln.id: i for i, ln in enumerate(candidates)}
-
     for k, (cost, blk_eq, blk_b, blk_lo, blk_up) in enumerate(blocks):
         col = n_cand + 1 + k * n_block
         cols = slice(col, col + n_block)
         req = k * m_eq_block
         rub = k * m_ub_block
+        cut = rub + sw_b.size
         a_eq[req:req + m_eq_block, cols] = blk_eq
         b_eq[req:req + m_eq_block] = blk_b
         lower[cols] = blk_lo
         upper[cols] = blk_up
-
-        of_ = col + off_f
-        ot = col + off_t
-        for li, ln in enumerate(lines):
-            if coupled[li]:
-                continue
-            gamma_l = net.base_mva * ln.susceptance
-            t_from = ot + net.bus_index[ln.from_bus]
-            t_to = ot + net.bus_index[ln.to_bus]
-            ci = cand_pos[ln.id]
-            big_m = gamma_l * 2.0 * ANGLE_BOUND
-            r0 = rub + 4 * ci
-            # |f - gamma dtheta| <= M (1 - x)
-            a_ub[r0, of_ + li] = 1.0
-            a_ub[r0, t_from] = -gamma_l
-            a_ub[r0, t_to] = gamma_l
-            a_ub[r0, ci] = big_m
-            b_ub[r0] = big_m
-            a_ub[r0 + 1, of_ + li] = -1.0
-            a_ub[r0 + 1, t_from] = gamma_l
-            a_ub[r0 + 1, t_to] = -gamma_l
-            a_ub[r0 + 1, ci] = big_m
-            b_ub[r0 + 1] = big_m
-            # |f| <= capacity x
-            a_ub[r0 + 2, of_ + li] = 1.0
-            a_ub[r0 + 2, ci] = -ln.capacity_mw
-            a_ub[r0 + 3, of_ + li] = -1.0
-            a_ub[r0 + 3, ci] = -ln.capacity_mw
-
+        a_ub[rub:cut, cols] = sw
+        a_ub[rub:cut, :n_cand] = sw_x
+        b_ub[rub:cut] = sw_b
         # Operating cost of this scenario must stay below the ceiling.
-        cut = rub + 4 * n_cand
         a_ub[cut, cols] = cost
         a_ub[cut, off_gamma] = -1.0
 
@@ -291,8 +241,10 @@ def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6,
             row += 1
 
     if root_state is not None:
-        root_state = _extend_root_state(root_state, n_var, n_block, a_eq.shape[0],
-                                        m_eq_block, m_ub, m_ub_block, 1 + n_prec)
+        # The last block's <= rows go before the budget and symmetry rows.
+        root_state = root_state.extended(
+            (n_var, a_eq.shape[0], m_ub), (n_block, m_eq_block, m_ub_block),
+            ub_at=(n_scen - 1) * m_ub_block)
     lp = LinearProgram(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
                        lower=lower, upper=upper)
     milp = solve_milp(MILPProblem(lp, np.arange(n_cand)), gap_tol=gap_tol,

@@ -51,7 +51,9 @@ class MILPProblem:
         self.binary = np.atleast_1d(np.asarray(self.binary, dtype=np.int64))
 
     def validate(self) -> None:
-        self.lp.validate()
+        """Check the bounds and the binary indices; the :class:`Layout`
+        that :func:`solve_milp` builds checks the rows."""
+        self.lp._validate_bounds()
         n = self.lp.n_vars
         if self.binary.size and (self.binary.min() < 0 or self.binary.max() >= n):
             raise ValidationError("binary index out of range")
@@ -104,11 +106,11 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
     Raises :class:`IterationLimit` when ``node_limit`` LP nodes were
     solved without proving optimality.
     """
-    problem.validate()
     lp = problem.lp
     binary = problem.binary
     # Every node LP shares one layout; it dies when this call returns.
     layout = Layout(lp)
+    problem.validate()  # before the binaries' bounds are clipped
 
     lower = lp.lower.copy()
     upper = lp.upper.copy()

@@ -9,14 +9,15 @@ and any realization, including isolated buses; it is also bounded, because
 every variable lives in a finite box.
 
 :func:`dispatch_block` writes that model once, for this module and for the
-scenario blocks of the investment master. The uncertain parameters appear
-only as upper bounds (a capacity bounds its generator, a load its shed) and
-in the bus-balance right-hand side (each load), never in the matrix. The
-gradient of the optimal cost with respect to them is therefore read off the
-LP duals: for a capacity it is the reduced cost of its generator when negative
-(zero otherwise); for a load it is the balance price of its bus plus the
-reduced cost of its shed when negative. That gradient is what the
-worst-case search feeds to the uncertainty set.
+scenario blocks of the investment master; :func:`switching_rows` writes the
+master's big-M rows that build a candidate line. The uncertain parameters
+appear only as upper bounds (a capacity bounds its generator, a load its
+shed) and in the bus-balance right-hand side (each load), never in the
+matrix. The gradient of the optimal cost with respect to them is therefore
+read off the LP duals: for a capacity it is the reduced cost of its
+generator when negative (zero otherwise); for a load it is the balance
+price of its bus plus the reduced cost of its shed when negative. That
+gradient is what the worst-case search feeds to the uncertainty set.
 
 Because the matrix and costs are fixed for a plan, one optimal basis prices
 every realization whose basic values stay within bounds:
@@ -135,6 +136,32 @@ def dispatch_block(net: Network, lines: list[Line], d: np.ndarray,
         a_eq[row, off_t + bus_of[ln.to_bus]] = gamma
     a_eq[-1, off_t + bus_of[net.reference_bus]] = 1.0
     return cost, a_eq, b_eq, lower, upper
+
+
+def switching_rows(net: Network, lines: list[Line],
+                   coupled: list[bool]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``a @ y + a_x @ x <= b`` that switch each line whose ``coupled``
+    flag is clear, over the columns ``y`` of :func:`dispatch_block` and one
+    binary ``x`` per switched line, in order: ``|f - gamma dtheta| <= M (1 -
+    x)`` and ``|f| <= capacity x``, with ``M = gamma * 2 * ANGLE_BOUND``,
+    the largest ``|gamma dtheta|`` the angle bounds allow."""
+    off_f = len(net.generators) + len(net.demands)
+    off_t = off_f + len(lines)
+    switched = [k for k, flag in enumerate(coupled) if not flag]
+    a = np.zeros((4 * len(switched), off_t + len(net.buses)))
+    a_x = np.zeros((a.shape[0], len(switched)))
+    b = np.zeros(a.shape[0])
+    for i, k in enumerate(switched):
+        ln = lines[k]
+        gamma = net.base_mva * ln.susceptance
+        big_m = gamma * 2.0 * ANGLE_BOUND
+        r = 4 * i
+        a[r:r + 4, off_f + k] = [1.0, -1.0, 1.0, -1.0]
+        a[r:r + 2, off_t + net.bus_index[ln.from_bus]] = [-gamma, gamma]
+        a[r:r + 2, off_t + net.bus_index[ln.to_bus]] = [gamma, -gamma]
+        a_x[r:r + 4, i] = [big_m, big_m, -ln.capacity_mw, -ln.capacity_mw]
+        b[r:r + 2] = big_m
+    return a, a_x, b
 
 
 @dataclass(frozen=True)

@@ -149,10 +149,6 @@ class LinearProgram:
     def n_vars(self) -> int:
         return self.objective.size
 
-    def validate(self) -> None:
-        self._validate_rows()
-        self._validate_bounds()
-
     def _validate_rows(self) -> None:
         n = self.n_vars
         for name, mat, rhs in (("a_eq", self.a_eq, self.b_eq), ("a_ub", self.a_ub, self.b_ub)):
@@ -194,13 +190,26 @@ class BasisState:
     basis: np.ndarray
     status: np.ndarray
 
-    def extended(self, col_map: np.ndarray, n_total: int,
-                 new_basic: np.ndarray) -> BasisState:
-        """This state on an LP with added rows and columns: column ``j``
-        becomes column ``col_map[j]`` of ``n_total``, the columns
-        ``new_basic`` (one per added row) become basic and every other new
-        column is nonbasic at its lower bound."""
-        status = np.full(n_total, _AT_LOWER, dtype=np.int8)
+    def extended(self, shape: tuple[int, int, int], added: tuple[int, int, int],
+                 ub_at: int) -> BasisState:
+        """This state on an LP grown by one block.  ``shape`` is the grown
+        LP's (structural columns, equality rows, ``<=`` rows) and ``added``
+        the block's share: its columns and equality rows come last, its
+        ``<=`` rows at ``ub_at``.  The block's artificials and slacks become
+        basic, its columns nonbasic at their lower bounds.  A state of any
+        other shape raises :class:`ValidationError`."""
+        n, m_eq, m_ub = shape
+        n_add, m_eq_add, m_ub_add = added
+        # New index of each old <= row, and of each old row in [eq | ub].
+        ub_map = np.concatenate([np.arange(ub_at), np.arange(ub_at + m_ub_add, m_ub)])
+        row_map = np.concatenate([np.arange(m_eq - m_eq_add), m_eq + ub_map])
+        # Columns are ordered [structural | slacks | artificials].
+        col_map = np.concatenate([np.arange(n - n_add), n + ub_map, n + m_ub + row_map])
+        if self.status.size != col_map.size or self.basis.size != row_map.size:
+            raise ValidationError("basis state does not fit the LP less the added block")
+        new_basic = np.concatenate([n + m_ub + np.arange(m_eq - m_eq_add, m_eq),
+                                    n + np.arange(ub_at, ub_at + m_ub_add)])
+        status = np.full(n + 2 * m_ub + m_eq, _AT_LOWER, dtype=np.int8)
         status[col_map] = self.status
         status[new_basic] = _BASIC
         return BasisState(np.concatenate([col_map[self.basis], new_basic]), status)

@@ -5,8 +5,10 @@ outputs are observed exactly as a shell would see them.
 """
 
 import csv
+import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -184,6 +186,19 @@ def readme_text_block():
     """The plan summary that README's quick start shows."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     return readme.split("```text\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_entry_points_resolve():
+    # Each name in README's table of main entry points, as written: a bare
+    # name is exported by arotnep, a dotted one names its module.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("The main entry points", 1)[1].split("\n\n", 2)[1]
+    names = [name for row in table.splitlines()[2:]
+             for name in re.findall(r"`([\w.]+)`", row.split("|")[1])]
+    assert "outer_solve" in names and len(names) >= 15
+    for name in names:
+        module, _, attr = name.rpartition(".")
+        assert hasattr(importlib.import_module(module or "arotnep"), attr), name
 
 
 def test_plan_logs_master_nodes_on_bundled_study(tmp_path):

@@ -370,7 +370,7 @@ def test_master_root_state_must_come_from_one_scenario_fewer(twobus):
     point = np.array([200.0, 66.0])
     state = solve_master(twobus, [point]).root_state
     for count in (1, 3):
-        with pytest.raises(ValidationError, match="one scenario fewer"):
+        with pytest.raises(ValidationError, match="does not fit"):
             solve_master(twobus, [point] * count, root_state=state)
     warm = solve_master(twobus, [point, point], root_state=state)
     assert warm.objective == pytest.approx(

@@ -7,7 +7,7 @@ import pytest
 from arotnep import simplex
 from arotnep.datasets import load_dataset
 from arotnep.errors import ValidationError
-from arotnep.opf import clip_uncertain, dispatch_piece, solve_opf
+from arotnep.opf import clip_uncertain, dispatch_piece, solve_opf, switching_rows
 from arotnep.simplex import check_kkt, solve_lp_with_state
 
 
@@ -168,6 +168,46 @@ def test_flow_angle_coupling(garver):
 
 
 PAPER_PLAN = {"C2-6a", "C2-6b", "C2-6c", "C3-5a", "C3-5b", "C4-6a", "C4-6b"}
+
+
+def test_switching_rows_couple_built_lines_and_empty_unbuilt_ones(garver):
+    lines = list(garver.lines)
+    coupled = [ln.status == "existing" for ln in lines]
+    a, a_x, b = switching_rows(garver, lines, coupled)
+    switched = [k for k, flag in enumerate(coupled) if not flag]
+    assert [lines[k].id for k in switched] == [ln.id for ln in garver.candidate_lines]
+    assert a_x.shape == (4 * len(switched), len(switched)) and b.shape == (a_x.shape[0],)
+    off_f = len(garver.generators) + len(garver.demands)
+    off_t = off_f + len(lines)
+    assert a.shape[1] == off_t + len(garver.buses)
+    assert not a[:, [off_f + k for k, flag in enumerate(coupled) if flag]].any()
+    tol = 1e-9 * float(b.max())
+
+    # x = 1 for the paper's plan: its dispatch satisfies every row, an
+    # unbuilt candidate (x = 0) carrying no flow.
+    sol = solve_opf(garver, built=PAPER_PLAN)
+    flows = dict(zip(sol.flow_line_ids, sol.flow))
+    y = np.concatenate([sol.generation, sol.shed,
+                        [flows.get(ln.id, 0.0) for ln in lines], sol.angle])
+    x = np.array([float(lines[k].id in PAPER_PLAN) for k in switched])
+    assert np.all(a @ y + a_x @ x <= b + tol)
+
+    # x = 0: the rows hold at every corner of a line's two angles in
+    # [-pi, pi], so for every pair, and only while the line carries no flow.
+    rng = np.random.default_rng(3)
+    zero = np.zeros(len(switched))
+    for k in switched:
+        ln = lines[k]
+        ends = [off_t + garver.bus_index[ln.from_bus], off_t + garver.bus_index[ln.to_bus]]
+        for corner in ([-np.pi, -np.pi], [-np.pi, np.pi], [np.pi, -np.pi], [np.pi, np.pi]):
+            y = np.zeros(a.shape[1])
+            y[off_t:] = rng.uniform(-np.pi, np.pi, len(garver.buses))
+            y[ends] = corner
+            assert np.all(a @ y + a_x @ zero <= b + tol)
+            for f in (1e-3, -1e-3):
+                y[off_f + k] = f
+                assert np.any(a @ y + a_x @ zero > b + tol)
+            y[off_f + k] = 0.0
 
 
 def gradient_point(garver, case):

@@ -14,6 +14,7 @@ from arotnep.simplex import (
     _AT_UPPER,
     _DENSE_MAX_ROWS,
     BasisState,
+    Layout,
     LinearProgram,
     _finish,
     _Simplex,
@@ -551,11 +552,48 @@ def test_clean_warm_solve_prices_its_final_basis_once(monkeypatch, caplog):
     assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
+def grown_pair():
+    """An LP of 2 columns, 1 equality and 2 <= rows, and the LP grown by a
+    block of 1 column, 1 equality row and 1 <= row between the old ones."""
+    rng = np.random.default_rng(12)
+    old = LinearProgram(np.ones(2), a_eq=rng.normal(size=(1, 2)), b_eq=[1.0],
+                        a_ub=rng.normal(size=(2, 2)), b_ub=[1.0, 1.0])
+    a_eq = np.zeros((2, 3))
+    a_eq[0, :2] = old.a_eq[0]
+    a_eq[1] = rng.normal(size=3)
+    a_ub = np.zeros((3, 3))
+    a_ub[[0, 2], :2] = old.a_ub
+    a_ub[1] = rng.normal(size=3)
+    grown = LinearProgram(np.ones(3), a_eq=a_eq, b_eq=[1.0, 1.0], a_ub=a_ub,
+                          b_ub=np.ones(3))
+    return Layout(old), Layout(grown)
+
+
 def test_basis_state_extends_to_added_rows_and_columns():
-    state = BasisState(np.array([2, 0]), np.array([0, 1, 0, 2], dtype=np.int8))
-    grown = state.extended(np.array([0, 1, 3, 4]), 7, np.array([6]))
-    assert grown.basis.tolist() == [3, 0, 6]
-    assert grown.status.tolist() == [0, 1, _AT_LOWER, 0, 2, _AT_LOWER, 0]
+    old, grown = grown_pair()
+    # Tag each old column through its status to find where it lands.
+    state = BasisState(np.array([4, 0, 2]), np.arange(old.n_total, dtype=np.int8) + 10)
+    ext = state.extended((3, 2, 3), (1, 1, 1), ub_at=1)
+    assert ext.status.size == grown.n_total
+    col_map = np.array([np.flatnonzero(ext.status == 10 + j)[0]
+                        for j in range(old.n_total)])
+    row_map = [0, 2, 4]  # [eq0 | ub0, ub1] among [eq0, eq1 | ub0, new, ub1]
+    assert np.array_equal(grown.A[np.ix_(row_map, col_map)], old.A)
+    assert ext.basis[:3].tolist() == col_map[[4, 0, 2]].tolist()
+    # The new equality row's artificial and the new <= row's slack are basic;
+    # the new column and the other new artificial sit at their lower bounds.
+    assert ext.basis[3:].tolist() == [grown.art[1], grown.n + 1]
+    assert grown.unit_row[ext.basis[3:]].tolist() == [1, 3]
+    assert ext.status[ext.basis[3:]].tolist() == [0, 0]
+    assert ext.status[[2, grown.art[3]]].tolist() == [_AT_LOWER, _AT_LOWER]
+
+
+@pytest.mark.parametrize("added", [(1, 1, 2), (0, 1, 1), (1, 0, 1)])
+def test_basis_state_of_another_shape_is_not_extended(added):
+    # The state of grown_pair's old LP: 2 + 2 + 3 columns, 3 rows.
+    state = BasisState(np.array([4, 0, 2]), np.full(7, _AT_LOWER, dtype=np.int8))
+    with pytest.raises(ValidationError, match="does not fit"):
+        state.extended((3, 2, 3), added, ub_at=1)
 
 
 @pytest.mark.parametrize("drift", [0.0, 1e-6], ids=["clean", "drifted"])

@@ -43,7 +43,7 @@ from .decomp import PlanResult, outer_solve
 from .ellipsoid import phi
 from .errors import ArotnepError, ParseError, ValidationError
 from .montecarlo import SimulationStudy, emit_report, run_simulation
-from .network import get_num, network_hash, read_json
+from .network import get_int, get_num, network_hash, read_json
 from .opf import active_lines
 
 EXIT_OK = 0
@@ -104,14 +104,19 @@ def plan_to_dict(cfg: StudyConfig, net_hash: str, radius: float,
 
 
 def read_plan_file(path: str | Path) -> dict:
-    """A written plan, its ``radius`` and ``worst_cost`` checked as numbers."""
+    """A written plan of this schema version, its ``radius`` and
+    ``worst_cost`` checked as numbers."""
     data = read_json(path, "plan file")
     ctx = f"plan file {path}"
     if not isinstance(data, dict):
         raise ParseError(f"{ctx} must hold a JSON object")
-    for key in ("network_hash", "built", "worst_cost", "radius", "status"):
+    for key in ("schema_version", "network_hash", "built", "worst_cost", "radius", "status"):
         if key not in data:
             raise ParseError(f"{ctx} lacks required key {key!r}")
+    version = get_int(data, "schema_version", ctx)
+    if version != PLAN_SCHEMA_VERSION:
+        raise ParseError(f"{ctx}: unsupported schema_version {version}, "
+                         f"expected {PLAN_SCHEMA_VERSION}")
     if not isinstance(data["built"], list):
         raise ParseError(f"{ctx}: 'built' must be a list")
     return {**data, "radius": get_num(data, "radius", ctx),

@@ -51,6 +51,8 @@ def phi_inv(p: float) -> float:
     lo, hi = -40.0, 40.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # adjacent floats: the bracket can shrink no further
         if phi(mid) < p:
             lo = mid
         else:

@@ -9,12 +9,12 @@ The solver is deliberately self-contained: two-phase primal simplex over
 bounded variables, a basis inverse with periodic refactorization, Dantzig
 pricing with a switch to Bland's rule once a degeneracy counter trips, and
 a bounded dual simplex used to warm-start from a dual-feasible basis after
-bound changes (the branch-and-bound layer relies on this). The dual prices
+bound changes (the branch-and-bound layer relies on this). Primal and dual
+share one degeneracy count and one set of masks of the columns that may
+enter from a bound, which each pivot and bound flip update. The dual prices
 its reduced costs once and then updates them from each pivot row, pricing
-afresh only after a refactorization; it builds the masks of columns that
-may enter from a bound once and updates the two a pivot moves. Cold and
-warm solves end alike: a primal polish that re-prices until the optimum is
-clean, then extraction.
+afresh only after a refactorization. Cold and warm solves end alike: a
+primal polish that re-prices until the optimum is clean, then extraction.
 
 What does not depend on the bounds (the constraint matrix, its structural
 nonzeros, ``b``, the costs, the unit-column index, validation) lives in a
@@ -29,8 +29,8 @@ inverts only the structural kernel of the basis (its structural columns on
 the rows no unit column covers). Primal, dual and phase-1 pivots all go
 through one basis change, :meth:`_Simplex._pivot`: it moves the basic
 values along the entering column, puts the leaving variable on its bound
-and updates the inverse. Only a refactorization recomputes the basic values
-from scratch. The inverse takes one of two forms, chosen once per LP from
+and updates the entering masks and the inverse. Only a refactorization
+recomputes the basic values from scratch. The inverse takes one of two forms, chosen once per LP from
 its row count:
 
 * up to ``_DENSE_MAX_ROWS`` rows (a dispatch LP has 13) a dense ``B^-1``,
@@ -54,9 +54,10 @@ value after a kernel-form pivot raises :class:`NumericalError` (a warm
 start then falls back to a cold solve). The primal ratio test takes no
 row whose entry in the entering column is smaller than
 ``_PRIMAL_PIVOT_TOL``, so the rounding residue of an exact zero never
-becomes a pivot, which no refactorization could undo. The primal simplex
-counts the etas a warm start's dual left in the file toward its refactor
-period, so the file never outgrows one period. The polish refactors a
+becomes a pivot, which no refactorization could undo. The eta file holds
+one refactor period and never grows: the primal counts the etas a warm
+start's dual left toward its period, and the pivot-out of phase 1's
+artificials refactors whenever the file is full. The polish refactors a
 dense inverse before it re-prices; a kernel-form one recomputes the basic
 values through its eta file and refactors only when they miss the rows by
 more than the primal tolerance, and otherwise keeps the last pricing of
@@ -113,11 +114,10 @@ def _as_matrix(a, n_cols: int) -> np.ndarray:
     return a
 
 
-def _as_vector(v, length: int | None = None) -> np.ndarray:
+def _as_vector(v) -> np.ndarray:
     if v is None:
-        return np.zeros(0 if length is None else length)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    return v
+        return np.zeros(0)
+    return np.atleast_1d(np.asarray(v, dtype=float))
 
 
 @dataclass
@@ -139,9 +139,9 @@ class LinearProgram:
         self.objective = _as_vector(self.objective)
         n = self.objective.size
         self.a_eq = _as_matrix(self.a_eq, n)
-        self.b_eq = _as_vector(self.b_eq, 0)
+        self.b_eq = _as_vector(self.b_eq)
         self.a_ub = _as_matrix(self.a_ub, n)
-        self.b_ub = _as_vector(self.b_ub, 0)
+        self.b_ub = _as_vector(self.b_ub)
         self.lower = np.full(n, 0.0) if self.lower is None else _as_vector(self.lower)
         self.upper = np.full(n, np.inf) if self.upper is None else _as_vector(self.upper)
 
@@ -302,9 +302,10 @@ class _Simplex:
         if not self.dense:
             self._nz = lay.nz
             # Eta file (see _add_eta); a refactorization empties it.
-            self._eta_k = np.zeros(0, dtype=np.int64)
-            self._eta_w = np.zeros((0, m))
-            self._eta_tri = self._eta_tri_inv = np.zeros((0, 0))
+            self._eta_k = np.zeros(_REFACTOR_PERIOD, dtype=np.int64)
+            self._eta_w = np.zeros((_REFACTOR_PERIOD, m))
+            self._eta_tri = np.zeros((_REFACTOR_PERIOD, _REFACTOR_PERIOD))
+            self._eta_tri_inv = np.zeros((_REFACTOR_PERIOD, _REFACTOR_PERIOD))
         self.iterations = 0
 
     # -- linear algebra helpers -------------------------------------------------
@@ -465,26 +466,15 @@ class _Simplex:
         with ``d_i = w_i - e_{k_i}``, ``L[i, j] = d_j[k_i]`` below the
         diagonal and ``L[i, i] = w_i[k_i]``, FTRAN is ``t = L^-1 v[ks]``,
         ``v -= D' t`` and BTRAN is ``s = L^-T D u``, ``u -= P' s``.  The
-        file keeps ``L`` and ``L^-1``, each growing by one row per eta;
-        one refinement step against ``L`` keeps both transforms as accurate
-        as applying the etas one at a time."""
+        file keeps ``L`` and ``L^-1``, one row per eta, for one refactor
+        period; one refinement step against ``L`` keeps both transforms as
+        accurate as applying the etas one at a time."""
         p = self.n_etas
-        if p == self._eta_k.size:
-            # np.zeros leaves the new rows untouched until an eta fills them.
-            size = p + max(p, _REFACTOR_PERIOD)
-            ks, ws, tri, tri_inv = self._eta_file()
-            self._eta_k = np.zeros(size, dtype=np.int64)
-            self._eta_w = np.zeros((size, self.m))
-            self._eta_tri = np.zeros((size, size))
-            self._eta_tri_inv = np.zeros((size, size))
-            self._eta_k[:p], self._eta_w[:p] = ks, ws
-            self._eta_tri[:p, :p], self._eta_tri_inv[:p, :p] = tri, tri_inv
         ks, ws, tri, tri_inv = self._eta_k, self._eta_w, self._eta_tri, self._eta_tri_inv
         tri[p, :p] = ws[:p, k] - (ks[:p] == k)
         tri[p, p] = w[k]
         tri_inv[p, :p] = (tri[p, :p] @ tri_inv[:p, :p]) / -w[k]
         tri_inv[p, p] = 1.0 / w[k]
-        tri[:p, p] = tri_inv[:p, p] = 0.0
         ks[p], ws[p] = k, w
         self.n_etas = p + 1
 
@@ -511,6 +501,20 @@ class _Simplex:
             return c - self.A.T @ (self.binv.T @ c[self.basis])
         return c - self._times_a(self._btran(c[self.basis]))
 
+    def _derive_masks(self) -> None:
+        """The columns that may enter: ``movable`` ones at their lower bound
+        (``from_low``) or upper bound (``from_up``).  Derived wherever the
+        statuses or bounds are set; each pivot and bound flip updates them."""
+        self.movable = self.upper - self.lower > 0.0
+        self.from_low = (self.stat == _AT_LOWER) & self.movable
+        self.from_up = (self.stat == _AT_UPPER) & self.movable
+
+    def _bland(self, degenerate: bool) -> bool:
+        """Count a degenerate step (or reset the count after a productive
+        one); whether Bland's rule applies, after ``_BLAND_TRIP`` in a row."""
+        self._stalls = self._stalls + 1 if degenerate else 0
+        return self._stalls > _BLAND_TRIP
+
     def _pivot(self, k: int, q: int, w: np.ndarray, delta: float, at_upper: bool) -> None:
         """Basis change: ``x_q`` enters at position ``k`` after moving by
         ``delta`` (the basic values move by ``-w * delta``, ``w`` being the
@@ -522,6 +526,9 @@ class _Simplex:
         self.x[p] = self.upper[p] if at_upper else self.lower[p]
         self.stat[p] = _AT_UPPER if at_upper else _AT_LOWER
         self.stat[q] = _BASIC
+        self.from_low[q] = self.from_up[q] = False
+        self.from_low[p] = not at_upper and self.movable[p]
+        self.from_up[p] = at_upper and self.movable[p]
         self.basis[k] = q
         self._update_inverse(w, k)
         if not self.dense and not np.all(np.isfinite(self.x[self.basis])):
@@ -530,10 +537,7 @@ class _Simplex:
     # -- primal simplex ---------------------------------------------------------
 
     def _choose_entering(self, r: np.ndarray, tol_d: float, bland: bool):
-        span_ok = self.upper - self.lower > 0.0
-        cand_low = (self.stat == _AT_LOWER) & span_ok & (r < -tol_d)
-        cand_up = (self.stat == _AT_UPPER) & span_ok & (r > tol_d)
-        eligible = cand_low | cand_up
+        eligible = (self.from_low & (r < -tol_d)) | (self.from_up & (r > tol_d))
         if not np.any(eligible):
             return None, 0
         idx = np.flatnonzero(eligible)
@@ -544,22 +548,19 @@ class _Simplex:
         return q, (1 if self.stat[q] == _AT_LOWER else -1)
 
     def _primal_step(self, q: int, direction: int):
-        w = self.binv @ self.A[:, q] if self.dense else self._ftran(self.A[:, q])
+        w = self._ftran(self.A[:, q])
         weff = direction * w
         xb = self.x[self.basis]
         lb = self.lower[self.basis]
         ub = self.upper[self.basis]
 
-        t_best = np.inf
-        k_best = -1
-        hit_upper = False
+        t_best, k_best, hit_upper = np.inf, -1, False
         pos = weff > _PRIMAL_PIVOT_TOL
         neg = weff < -_PRIMAL_PIVOT_TOL
         with np.errstate(invalid="ignore"):
             t_pos = np.where(pos, (xb - lb) / np.where(pos, weff, 1.0), np.inf)
             t_neg = np.where(neg, (ub - xb) / np.where(neg, -weff, 1.0), np.inf)
-        t_rows = np.minimum(t_pos, t_neg)
-        t_rows = np.maximum(t_rows, 0.0)  # drift guard
+        t_rows = np.maximum(np.minimum(t_pos, t_neg), 0.0)  # 0.0: drift guard
         if t_rows.size:
             t_min = float(np.min(t_rows))
             if np.isfinite(t_min):
@@ -577,6 +578,8 @@ class _Simplex:
             # Bound flip: the entering variable crosses to its opposite bound.
             self.x[self.basis] = xb - weff * span
             self.stat[q] = _AT_UPPER if direction == 1 else _AT_LOWER
+            self.from_low[q] = direction != 1
+            self.from_up[q] = direction == 1
             self.x[q] = self.upper[q] if direction == 1 else self.lower[q]
             return "flip", span
 
@@ -589,7 +592,7 @@ class _Simplex:
     def optimize(self, c: np.ndarray) -> str:
         tol_d = 1e-9 * (1.0 + float(np.max(np.abs(c))))
         bland = False
-        degenerate = 0
+        self._stalls = 0
         since_refactor = 0
         while True:
             if self.iterations >= self.max_iter:
@@ -605,13 +608,7 @@ class _Simplex:
                 continue
             self.iterations += 1
             since_refactor += 1
-            if step <= 1e-11:
-                degenerate += 1
-                if degenerate > _BLAND_TRIP:
-                    bland = True
-            else:
-                degenerate = 0
-                bland = False
+            bland = self._bland(step <= 1e-11)
             # The eta file may already hold a warm start's dual pivots;
             # counting them keeps it within one refactor period.
             if outcome == "pivot" and max(since_refactor, self.n_etas) >= _REFACTOR_PERIOD:
@@ -628,19 +625,17 @@ class _Simplex:
         self.stat[:] = _AT_LOWER
 
         resid = self.b - self.A[:, :n] @ self.x[:n]
-        basis = np.empty(m, dtype=np.int64)
+        rows = np.arange(m)
+        # A <= row's slack carries a surplus; every other row starts on its
+        # artificial, signed to take the residual at a nonnegative value.
+        slack = (rows >= self.m_eq) & (resid >= 0.0)
+        art = self.art[~slack]
+        self.A[rows[~slack], art] = np.where(resid[~slack] >= 0.0, 1.0, -1.0)
         c1 = np.zeros(self.n_total)
-        for i in range(m):
-            is_ub_row = i >= self.m_eq
-            if is_ub_row and resid[i] >= 0.0:
-                j = n + (i - self.m_eq)  # slack carries the surplus
-            else:
-                j = int(self.art[i])
-                self.A[i, j] = 1.0 if resid[i] >= 0.0 else -1.0
-                c1[j] = 1.0
-            basis[i] = j
-        self.basis = basis
-        self.stat[basis] = _BASIC
+        c1[art] = 1.0
+        self.basis = np.where(slack, n + rows - self.m_eq, self.art)
+        self.stat[self.basis] = _BASIC
+        self._derive_masks()
         self._refactor()
 
         status = self.optimize(c1)
@@ -653,17 +648,20 @@ class _Simplex:
         self._pivot_out_artificials()
         self.upper[self.art] = 0.0
         self.x[self.art] = 0.0
+        self._derive_masks()
         self._recompute_basic_values()
         return True
 
     def _pivot_out_artificials(self) -> None:
-        art_set = set(int(a) for a in self.art)
-        for k in range(self.m):
-            p = int(self.basis[k])
-            if p not in art_set:
-                continue
-            row = self._times_a(self._row(k))[: self.n + self.n_slack]
-            row[self.stat[: self.n + self.n_slack] == _BASIC] = 0.0
+        """Swap each basic artificial for a column its row reaches.  This
+        runs after phase 1's last refactorization and may pivot on every
+        row, so it refactors whenever the eta file is full."""
+        n_real = self.n + self.n_slack
+        for k in np.flatnonzero(self.basis >= n_real).tolist():
+            if self.n_etas == _REFACTOR_PERIOD:
+                self._refactor()
+            row = self._times_a(self._row(k))[:n_real]
+            row[self.stat[:n_real] == _BASIC] = 0.0
             j = int(np.argmax(np.abs(row)))
             if abs(row[j]) <= 1e-7:
                 continue  # redundant row; artificial stays basic at zero
@@ -676,18 +674,15 @@ class _Simplex:
 
         The reduced costs ``self.r`` are priced once and after each
         refactorization; a pivot updates them from the pivot row ``alpha``
-        it forms anyway: ``r -= (r_q / alpha_q) * alpha``.  The bounds do
-        not change here, so the masks of columns that may enter from their
-        lower or upper bound (``self.from_low``, ``self.from_up``) are built
-        once and a pivot updates the two columns whose status it changes."""
+        it forms anyway: ``r -= (r_q / alpha_q) * alpha``.  The bounds have
+        changed since the basis was optimal, so the entering masks are
+        derived afresh here (see :meth:`_derive_masks`)."""
         tol_d = 1e-9 * (1.0 + float(np.max(np.abs(c))))
         since_refactor = 0
         bland = False
-        stalls = 0
+        self._stalls = 0
         self.r = r = self._reduced_costs(c)
-        movable = self.upper - self.lower > 0.0
-        self.from_low = from_low = (self.stat == _AT_LOWER) & movable
-        self.from_up = from_up = (self.stat == _AT_UPPER) & movable
+        self._derive_masks()
         while True:
             if self.iterations >= self.max_iter:
                 raise NumericalError(f"dual simplex iteration cap ({self.max_iter}) exceeded")
@@ -704,11 +699,11 @@ class _Simplex:
 
             alpha = self._times_a(self._row(k))
             if below:
-                ok_low = from_low & (alpha < -1e-9)
-                ok_up = from_up & (alpha > 1e-9)
+                ok_low = self.from_low & (alpha < -1e-9)
+                ok_up = self.from_up & (alpha > 1e-9)
             else:
-                ok_low = from_low & (alpha > 1e-9)
-                ok_up = from_up & (alpha < -1e-9)
+                ok_low = self.from_low & (alpha > 1e-9)
+                ok_up = self.from_up & (alpha < -1e-9)
             eligible = np.flatnonzero(ok_low | ok_up)
             if eligible.size == 0:
                 return STATUS_INFEASIBLE
@@ -727,23 +722,13 @@ class _Simplex:
                 since_refactor = 0
                 continue
             bound = lb[k] if below else ub[k]
-            p = int(self.basis[k])
             self._pivot(k, q, w, (xb[k] - bound) / w[k], not below)
-            from_low[q] = from_up[q] = False
-            from_low[p] = below and movable[p]
-            from_up[p] = not below and movable[p]
             r_q = r[q]
             r -= (r_q / alpha[q]) * alpha
             r[self.basis] = 0.0
             self.iterations += 1
             since_refactor += 1
-            if abs(r_q) <= tol_d:
-                stalls += 1
-                if stalls > _BLAND_TRIP:
-                    bland = True
-            else:
-                stalls = 0
-                bland = False
+            bland = self._bland(abs(r_q) <= tol_d)
             if since_refactor >= _REFACTOR_PERIOD:
                 self._refactor()
                 self.r = r = self._reduced_costs(c)

@@ -348,18 +348,30 @@ def test_validate_refuses_tampered_plan(tmp_path, monkeypatch, capsys):
 
 
 
-@pytest.mark.parametrize("key, value", [("radius", "x"), ("worst_cost", None)])
-def test_validate_rejects_non_numeric_plan_values(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("key, value, error", [
+    pytest.param("radius", "x", "radius must be a finite number", id="radius-x"),
+    pytest.param("worst_cost", None, "worst_cost must be a finite number", id="worst_cost-None"),
+    # A plan of another schema, or of none, is not priced.
+    pytest.param("schema_version", 2, "unsupported schema_version 2", id="schema_version-2"),
+    pytest.param("schema_version", True, "schema_version must be an integer",
+                 id="schema_version-True"),
+    pytest.param("schema_version", ..., "lacks required key 'schema_version'",
+                 id="schema_version-missing"),
+])
+def test_validate_rejects_non_numeric_plan_values(tmp_path, capsys, key, value, error):
     cfg_path = write_study(tmp_path, base_twobus_study())
     assert main(["plan", "--config", str(cfg_path)]) == 0
     plan_path = tmp_path / "out" / "plan.json"
     doc = json.loads(plan_path.read_text())
-    doc[key] = value
+    if value is ...:
+        del doc[key]
+    else:
+        doc[key] = value
     plan_path.write_text(json.dumps(doc))
     rc = main(["validate", "--config", str(cfg_path),
                "--plan", str(plan_path)])
     assert rc == 4
-    assert f"{key} must be a finite number" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
 
 def test_validate_missing_plan_exits_io(tmp_path):
     cfg_path = write_study(tmp_path, base_twobus_study())

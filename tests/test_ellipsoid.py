@@ -53,6 +53,19 @@ def test_quantile_matches_table():
     assert beta_for_quantile(0.99999146) == pytest.approx(4.3, abs=1e-3)
 
 
+@pytest.mark.parametrize("p, bits", [
+    (0.5, "-0x1.40d931ff62706p-54"),
+    (0.9, "0x1.4813c36e26d32p+0"),
+    (0.99, "0x1.29c5c4630ff0ap+1"),
+    (1e-7, "-0x1.4cc1f26b18707p+2"),
+    (1.0 - 1e-6, "0x1.30381a979549ap+2"),
+])
+def test_quantile_bits_are_pinned(p, bits):
+    # Radii come from phi_inv, so its bisection may stop early only where
+    # the bracket can shrink no further; every bit of the quantile stays.
+    assert phi_inv(p) == float.fromhex(bits)
+
+
 @given(st.floats(1e-6, 1.0 - 1e-6))
 @settings(max_examples=60, deadline=None)
 def test_quantile_round_trip(p):

@@ -13,6 +13,7 @@ from arotnep.simplex import (
     _AT_LOWER,
     _AT_UPPER,
     _DENSE_MAX_ROWS,
+    _REFACTOR_PERIOD,
     BasisState,
     Layout,
     LinearProgram,
@@ -262,6 +263,38 @@ def test_property_optimal_beats_interior_point(seed, n, m_ub):
     assert check_kkt(lp, sol) <= 1e-7 * (1.0 + abs(sol.objective))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_phase1_start_basis_matches_a_row_loop(seed):
+    # Phase 1 picks each row's starting column and artificial sign with
+    # array operations; a loop over the rows is the reference.
+    rng = np.random.default_rng(5050 + seed)
+    lp = LinearProgram(rng.normal(size=6), a_eq=rng.normal(size=(3, 6)),
+                       b_eq=rng.normal(size=3), a_ub=rng.normal(size=(5, 6)),
+                       b_ub=rng.normal(size=5) + 1.0, lower=rng.uniform(-1.0, 0.0, 6))
+    sx = _Simplex(lp)
+    resid = sx.b - sx.A[:, :sx.n] @ sx.lower[:sx.n]
+    basis, signs = [], []
+    for i in range(sx.m):
+        if i >= sx.m_eq and resid[i] >= 0.0:
+            basis.append(sx.n + i - sx.m_eq)
+            signs.append(1.0)
+        else:
+            basis.append(sx.art[i])
+            signs.append(1.0 if resid[i] >= 0.0 else -1.0)
+    clean_refactor, started = sx._refactor, []
+
+    def refactor():
+        if not started:
+            started.append((sx.basis.copy(), sx.A[np.arange(sx.m), sx.art].copy()))
+        clean_refactor()
+
+    sx._refactor = refactor
+    sx.phase1()
+    assert np.array_equal(started[0][0], basis)
+    assert np.array_equal(started[0][1], signs)
+    assert -1.0 in signs and min(basis) < sx.n + sx.n_slack  # both signs, and a slack
+
+
 def test_pivot_cap_raises():
     lp = random_box_lp(np.random.default_rng(6000), 6, 5, m_eq=2)
     assert solve_lp(lp).iterations > 1
@@ -365,18 +398,18 @@ def test_in_place_update_matches_row_deleting_update(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_eta_file_matches_one_eta_at_a_time(seed):
-    # 150 etas, more than the first allocation of the file holds.
+    # A full eta file: one refactor period of etas.
     rng = np.random.default_rng(5150 + seed)
     sx = mixed_basis_simplex(rng, 320, 60, 130, 100)
     assert not sx.dense
     sx._refactor()
-    for _ in range(150):
+    for _ in range(_REFACTOR_PERIOD):
         q = rng.choice(np.setdiff1d(np.arange(sx.n), sx.basis))
         w = sx._ftran(sx.A[:, q])
         k = int(np.argmax(np.abs(w)))
         sx._update_inverse(w, k)
         sx.basis[k] = q
-    assert sx.n_etas == 150
+    assert sx.n_etas == _REFACTOR_PERIOD
     for a in rng.normal(size=(3, sx.m)):
         for transpose, closed in ((False, sx._ftran(a)), (True, sx._btran(a))):
             ref = sequential_etas(sx, a, transpose)
@@ -388,6 +421,7 @@ def test_kernel_form_pivot_rejects_non_finite_values():
     rng = np.random.default_rng(5160)
     sx = mixed_basis_simplex(rng, 120, 60, 130, 100)
     sx._refactor()
+    sx._derive_masks()
     q = int(np.setdiff1d(np.arange(sx.n), sx.basis)[0])
     w = sx._ftran(sx.A[:, q])
     w[1] = np.nan
@@ -488,6 +522,15 @@ def test_dual_updates_reduced_costs_from_the_pivot_row(seed):
     assert sol.objective == pytest.approx(solve_lp(lp2).objective, rel=1e-9)
 
 
+def kept_masks_match(sx):
+    """Whether the entering masks the simplex keeps equal masks derived
+    afresh from its statuses and bounds."""
+    movable = sx.upper - sx.lower > 0.0
+    return (np.array_equal(sx.movable, movable)
+            and np.array_equal(sx.from_low, (sx.stat == _AT_LOWER) & movable)
+            and np.array_equal(sx.from_up, (sx.stat == _AT_UPPER) & movable))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_dual_keeps_its_entering_masks_across_pivots(seed):
     # The masks of columns that may enter from a bound are built once and
@@ -499,9 +542,7 @@ def test_dual_keeps_its_entering_masks_across_pivots(seed):
     seen = {"checks": 0, "refactors": 0}
 
     def check():
-        movable = sx.upper - sx.lower > 0.0
-        assert np.array_equal(sx.from_low, (sx.stat == _AT_LOWER) & movable)
-        assert np.array_equal(sx.from_up, (sx.stat == _AT_UPPER) & movable)
+        assert kept_masks_match(sx)
         seen["checks"] += 1
 
     def row(k):
@@ -741,3 +782,94 @@ def test_warm_start_fallback_is_logged(caplog):
     assert again.status == "optimal"
     assert again.objective == warm.objective
     assert np.array_equal(again.x, warm.x)
+
+
+def sparse_box_lp(rng, n, m_eq, m_ub, density):
+    """Feasible, bounded LP whose rows keep about a share ``density`` of
+    their entries: the middle of the box satisfies every row.  Sparse rows
+    leave the ratio test room, so the primal flips bounds."""
+    lower = rng.uniform(-2.0, 0.0, n)
+    upper = lower + rng.uniform(0.5, 3.0, n)
+    a = rng.normal(size=(m_eq + m_ub, n)) * (rng.random((m_eq + m_ub, n)) < density)
+    b = a @ (0.5 * (lower + upper))
+    return LinearProgram(rng.normal(size=n), a_eq=a[:m_eq], b_eq=b[:m_eq], a_ub=a[m_eq:],
+                         b_ub=b[m_eq:] + 0.5, lower=lower, upper=upper)
+
+
+@pytest.mark.parametrize("shape, density", [(DENSE_ROWS, 0.5), (KERNEL_ROWS, 0.02)],
+                         ids=["dense", "kernel"])
+@pytest.mark.parametrize("seed", range(2))
+def test_pivots_and_flips_keep_the_entering_masks(shape, density, seed, monkeypatch, caplog):
+    # Phase 1, phase 2, a warm dual and its polish all read the masks that
+    # each pivot and each primal bound flip update; after every one of them
+    # the masks must equal a fresh derivation.
+    rng = np.random.default_rng(5800 + seed)
+    n = shape[0]
+    lp = sparse_box_lp(rng, *shape, density)
+    seen = {"pivot": 0, "flip": 0}
+    clean_pivot, clean_step = _Simplex._pivot, _Simplex._primal_step
+
+    def pivot(self, *args):
+        clean_pivot(self, *args)
+        assert kept_masks_match(self)
+        seen["pivot"] += 1
+
+    def step(self, *args):
+        outcome, size = clean_step(self, *args)
+        assert kept_masks_match(self)
+        seen["flip"] += outcome == "flip"
+        return outcome, size
+
+    monkeypatch.setattr(_Simplex, "_pivot", pivot)
+    monkeypatch.setattr(_Simplex, "_primal_step", step)
+    sol, state = solve_lp_with_state(lp)
+    assert sol.status == "optimal" and seen["pivot"] > 0 and seen["flip"] > 0
+    # Pin columns halfway to the optimum of -c, which keeps the LP feasible
+    # and moves the warm start off its optimal basis.
+    far = solve_lp(LinearProgram(-lp.objective, a_eq=lp.a_eq, b_eq=lp.b_eq, a_ub=lp.a_ub,
+                                 b_ub=lp.b_ub, lower=lp.lower, upper=lp.upper))
+    pinned = rng.choice(n, size=max(2, n // 10), replace=False)
+    lower2, upper2 = lp.lower.copy(), lp.upper.copy()
+    lower2[pinned] = upper2[pinned] = 0.5 * (sol.x[pinned] + far.x[pinned])
+    lp2 = LinearProgram(lp.objective, a_eq=lp.a_eq, b_eq=lp.b_eq, a_ub=lp.a_ub,
+                        b_ub=lp.b_ub, lower=lower2, upper=upper2)
+    seen["pivot"] = 0
+    with caplog.at_level(logging.DEBUG, logger="arotnep.simplex"):
+        warm, _ = solve_lp_warm(lp2, state)
+    assert not caplog.records  # the dual simplex, not a cold fallback
+    assert warm.status == "optimal" and seen["pivot"] > 0
+    assert warm.objective == pytest.approx(solve_lp(lp2).objective, rel=1e-9)
+
+
+def test_pivot_out_keeps_the_eta_file_within_one_period(monkeypatch):
+    # Equality rows [R; -R] with b = 0: phase 1 starts optimal with every
+    # artificial basic at zero, and the pivot-out swaps one in for each row
+    # of R, more pivots than one refactor period of etas.
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(5900)
+    n, half = 150, 120
+    block = rng.normal(size=(half, n))
+    lp = LinearProgram(rng.normal(size=n), a_eq=np.vstack([block, -block]),
+                       b_eq=np.zeros(2 * half), upper=np.ones(n))
+    assert not _Simplex(lp).dense and half > _REFACTOR_PERIOD
+    clean_add, clean_out = _Simplex._add_eta, _Simplex._pivot_out_artificials
+    pivoting_out, etas = [False], []
+
+    def add_eta(self, k, w):
+        clean_add(self, k, w)
+        etas.append((pivoting_out[0], self.n_etas))
+
+    def pivot_out(self):
+        pivoting_out[0] = True
+        clean_out(self)
+        pivoting_out[0] = False
+
+    monkeypatch.setattr(_Simplex, "_add_eta", add_eta)
+    monkeypatch.setattr(_Simplex, "_pivot_out_artificials", pivot_out)
+    sol = solve_lp(lp)
+    assert sum(out for out, _ in etas) == half
+    assert max(size for _, size in etas) == _REFACTOR_PERIOD
+    ref = highs_lp(lp)
+    assert ref.status == 0 and sol.status == "optimal"
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-7, abs=1e-9)
+    assert check_kkt(lp, sol) <= 1e-7

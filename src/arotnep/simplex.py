@@ -57,7 +57,7 @@ row whose entry in the entering column is smaller than
 becomes a pivot, which no refactorization could undo. The eta file holds
 one refactor period and never grows: the primal counts the etas a warm
 start's dual left toward its period, and the pivot-out of phase 1's
-artificials refactors whenever the file is full. The polish refactors a
+artificials refactors after each pivot that fills it. The polish refactors a
 dense inverse before it re-prices; a kernel-form one recomputes the basic
 values through its eta file and refactors only when they miss the rows by
 more than the primal tolerance, and otherwise keeps the last pricing of
@@ -655,17 +655,17 @@ class _Simplex:
     def _pivot_out_artificials(self) -> None:
         """Swap each basic artificial for a column its row reaches.  This
         runs after phase 1's last refactorization and may pivot on every
-        row, so it refactors whenever the eta file is full."""
+        row, so it refactors whenever a pivot fills the eta file."""
         n_real = self.n + self.n_slack
         for k in np.flatnonzero(self.basis >= n_real).tolist():
-            if self.n_etas == _REFACTOR_PERIOD:
-                self._refactor()
             row = self._times_a(self._row(k))[:n_real]
             row[self.stat[:n_real] == _BASIC] = 0.0
             j = int(np.argmax(np.abs(row)))
             if abs(row[j]) <= 1e-7:
                 continue  # redundant row; artificial stays basic at zero
             self._pivot(k, j, self._ftran(self.A[:, j]), 0.0, False)
+            if self.n_etas == _REFACTOR_PERIOD:
+                self._refactor()
 
     # -- dual simplex (warm starts) --------------------------------------------
 

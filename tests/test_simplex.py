@@ -263,38 +263,6 @@ def test_property_optimal_beats_interior_point(seed, n, m_ub):
     assert check_kkt(lp, sol) <= 1e-7 * (1.0 + abs(sol.objective))
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_phase1_start_basis_matches_a_row_loop(seed):
-    # Phase 1 picks each row's starting column and artificial sign with
-    # array operations; a loop over the rows is the reference.
-    rng = np.random.default_rng(5050 + seed)
-    lp = LinearProgram(rng.normal(size=6), a_eq=rng.normal(size=(3, 6)),
-                       b_eq=rng.normal(size=3), a_ub=rng.normal(size=(5, 6)),
-                       b_ub=rng.normal(size=5) + 1.0, lower=rng.uniform(-1.0, 0.0, 6))
-    sx = _Simplex(lp)
-    resid = sx.b - sx.A[:, :sx.n] @ sx.lower[:sx.n]
-    basis, signs = [], []
-    for i in range(sx.m):
-        if i >= sx.m_eq and resid[i] >= 0.0:
-            basis.append(sx.n + i - sx.m_eq)
-            signs.append(1.0)
-        else:
-            basis.append(sx.art[i])
-            signs.append(1.0 if resid[i] >= 0.0 else -1.0)
-    clean_refactor, started = sx._refactor, []
-
-    def refactor():
-        if not started:
-            started.append((sx.basis.copy(), sx.A[np.arange(sx.m), sx.art].copy()))
-        clean_refactor()
-
-    sx._refactor = refactor
-    sx.phase1()
-    assert np.array_equal(started[0][0], basis)
-    assert np.array_equal(started[0][1], signs)
-    assert -1.0 in signs and min(basis) < sx.n + sx.n_slack  # both signs, and a slack
-
-
 def test_pivot_cap_raises():
     lp = random_box_lp(np.random.default_rng(6000), 6, 5, m_eq=2)
     assert solve_lp(lp).iterations > 1
@@ -841,17 +809,31 @@ def test_pivots_and_flips_keep_the_entering_masks(shape, density, seed, monkeypa
     assert warm.objective == pytest.approx(solve_lp(lp2).objective, rel=1e-9)
 
 
-def test_pivot_out_keeps_the_eta_file_within_one_period(monkeypatch):
+def redundant_pair_lp(rng):
     # Equality rows [R; -R] with b = 0: phase 1 starts optimal with every
     # artificial basic at zero, and the pivot-out swaps one in for each row
     # of R, more pivots than one refactor period of etas.
-    pytest.importorskip("scipy")
-    rng = np.random.default_rng(5900)
     n, half = 150, 120
     block = rng.normal(size=(half, n))
-    lp = LinearProgram(rng.normal(size=n), a_eq=np.vstack([block, -block]),
-                       b_eq=np.zeros(2 * half), upper=np.ones(n))
-    assert not _Simplex(lp).dense and half > _REFACTOR_PERIOD
+    return LinearProgram(rng.normal(size=n), a_eq=np.vstack([block, -block]),
+                         b_eq=np.zeros(2 * half), upper=np.ones(n)), half
+
+
+def negative_rows_lp(rng):
+    # All-negative equality rows with b = 0: every structural's phase-1
+    # reduced cost is positive, so phase 1 starts optimal and the pivot-out
+    # swaps one in for every row, exactly two periods of etas; its last
+    # pivot fills the file, and phase 2 pivots after it.
+    m, n = 200, 250
+    return LinearProgram(rng.normal(size=n), a_eq=-rng.uniform(0.1, 1.0, size=(m, n)),
+                         b_eq=np.zeros(m)), m
+
+
+@pytest.mark.parametrize("build", [redundant_pair_lp, negative_rows_lp])
+def test_pivot_out_keeps_the_eta_file_within_one_period(build, monkeypatch):
+    pytest.importorskip("scipy")
+    lp, n_out = build(np.random.default_rng(5900))
+    assert not _Simplex(lp).dense and n_out > _REFACTOR_PERIOD
     clean_add, clean_out = _Simplex._add_eta, _Simplex._pivot_out_artificials
     pivoting_out, etas = [False], []
 
@@ -867,7 +849,7 @@ def test_pivot_out_keeps_the_eta_file_within_one_period(monkeypatch):
     monkeypatch.setattr(_Simplex, "_add_eta", add_eta)
     monkeypatch.setattr(_Simplex, "_pivot_out_artificials", pivot_out)
     sol = solve_lp(lp)
-    assert sum(out for out, _ in etas) == half
+    assert sum(out for out, _ in etas) == n_out and not etas[-1][0]  # phase 2 pivots
     assert max(size for _, size in etas) == _REFACTOR_PERIOD
     ref = highs_lp(lp)
     assert ref.status == 0 and sol.status == "optimal"

@@ -35,7 +35,6 @@ from .decomp import (
 )
 from .ellipsoid import (
     EllipsoidalSet,
-    beta_for_quantile,
     phi,
     phi_inv,
     prob_exceedance,
@@ -72,7 +71,6 @@ __all__ = [
     "ValidationError",
     "__version__",
     "annualize_costs",
-    "beta_for_quantile",
     "build_uncertainty",
     "dataset_names",
     "dataset_path",

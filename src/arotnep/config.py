@@ -1,6 +1,6 @@
 """Study files: one JSON document describing a complete planning run.
 
-A study names the network file, how to put its costs on a per-year basis,
+A study names the network file, how to put its build costs on a per-year basis,
 the uncertainty model (spreads, correlations, set radius or target
 quantile, optional interval limits), solver tolerances and caps, and the
 simulation settings used when a plan is priced by sampling.  Relative paths
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ellipsoid import EllipsoidalSet, beta_for_quantile, std_from_interval
+from .ellipsoid import EllipsoidalSet, phi_inv, std_from_interval
 from .errors import ParseError, ValidationError
 from .network import (Network, annualize_costs, get_int, get_num, load_network,
                       read_json, require_keys)
@@ -94,7 +94,7 @@ class StudyConfig:
         requested non-exceedance probability."""
         if self.uncertainty.beta is not None:
             return self.uncertainty.beta
-        return beta_for_quantile(self.uncertainty.quantile)
+        return phi_inv(self.uncertainty.quantile)
 
 
 def _parse_spread(obj, ctx: str, positive: bool,

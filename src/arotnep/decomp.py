@@ -36,7 +36,7 @@ cost cut.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,13 +59,13 @@ class InnerResult:
     dispatch: OPFSolution
     iterations: int
     converged: bool
-    history: list[float] = field(default_factory=list)
 
 
 def inner_solve(net: Network, es: EllipsoidalSet, built=frozenset(), *,
                 tol: float = 1e-6, max_iter: int = 100,
                 start: np.ndarray | None = None) -> InnerResult:
-    """Block-coordinate ascent from one starting point."""
+    """Block-coordinate ascent from one starting point.  It stops on a step or
+    cost change within ``tol``, a zero gradient, or a step back to its point."""
     if es.dim != net.n_uncertain:
         raise ValidationError("uncertainty set dimension does not match network")
     if max_iter < 1:
@@ -73,28 +73,28 @@ def inner_solve(net: Network, es: EllipsoidalSet, built=frozenset(), *,
     if start is None:
         adverse = np.where(es.signs == 0.0, 1.0, es.signs)
         start = es.mean + adverse * np.sqrt(np.diag(es.covariance))
-    d = es.pull_inside(np.asarray(start, dtype=float))
+    d = es.pull_inside(start)
+    return _ascend(net, es, built, d, solve_opf(net, d=d, built=built), tol, max_iter)
 
-    history: list[float] = []
-    prev_d: np.ndarray | None = None
-    prev_q: float | None = None
+
+def _ascend(net: Network, es: EllipsoidalSet, built, d: np.ndarray,
+            sol: OPFSolution, tol: float, max_iter: int) -> InnerResult:
+    """The ascent of :func:`inner_solve` from ``d``, whose dispatch is ``sol``."""
     scale = 1.0 + float(np.max(np.abs(es.mean)))
     for it in range(1, max_iter + 1):
-        sol = solve_opf(net, d=d, built=built)
-        q = sol.objective
-        history.append(q)
-        if prev_d is not None:
-            step_small = float(np.max(np.abs(d - prev_d))) <= tol * scale
-            cost_small = abs(q - prev_q) <= tol * (1.0 + abs(q))
-            if step_small or cost_small:
-                return InnerResult(q, d, sol, it, True, history)
         move = es.bounded_step(sol.eta)
-        if move.zero_gradient:
-            # Flat cost around the current point: it is already maximal.
-            return InnerResult(q, d, sol, it, True, history)
-        prev_d, prev_q = d, q
-        d = move.point
-    return InnerResult(history[-1], prev_d, sol, max_iter, False, history)
+        if move.zero_gradient or np.array_equal(move.point, d):
+            # A flat cost, or a step back to the point: it is already maximal.
+            return InnerResult(sol.objective, d, sol, it, True)
+        if it == max_iter:
+            break
+        new = solve_opf(net, d=move.point, built=built)
+        small = (float(np.max(np.abs(move.point - d))) <= tol * scale
+                 or abs(new.objective - sol.objective) <= tol * (1.0 + abs(new.objective)))
+        d, sol = move.point, new
+        if small:
+            return InnerResult(sol.objective, d, sol, it + 1, True)
+    return InnerResult(sol.objective, d, sol, max_iter, False)
 
 
 def worst_case_cost(net: Network, es: EllipsoidalSet, built=frozenset(), *,
@@ -309,10 +309,10 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
     plan against its worst case (upper bound), add that worst point as a
     master scenario, and re-plan (lower bound).
 
-    Every dispatch price comes from one table, each visited plan's cost at
-    each stored scenario, solved once.  A plan's price is the larger of its
-    last ascent and its costliest stored scenario (an earlier ascent that
-    set the price was stored).  ``z_up`` is the cheapest price, ``z_lo``
+    Every dispatch price comes from one table, each visited plan's dispatch
+    at each stored scenario, solved once.  A plan's price is the larger of
+    its last ascent and its costliest stored scenario, whose table entry is
+    then the reported dispatch.  ``z_up`` is the cheapest price, ``z_lo``
     the master's plan priced over the stored scenarios; a master objective
     off ``z_lo``, or a ``z_lo`` above ``z_up``, by more than ``master_gap``
     raises :class:`NumericalError`.
@@ -321,28 +321,29 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
     log: list[OuterIteration] = []
     built: frozenset[str] = frozenset()
     z_lo = -np.inf
-    costs: dict[frozenset, list[float]] = {}  # plan -> cost at each scenario
+    table: dict[frozenset, list[OPFSolution]] = {}  # plan -> dispatch per scenario
     searched: dict[frozenset, InnerResult] = {}  # last ascent per plan
     stall_tol = 1e-6 * (1.0 + float(np.max(np.abs(es.mean))))
 
     def stored_worst(plan: frozenset) -> tuple[float, int]:
         """Cost and index of ``plan``'s costliest stored scenario."""
-        row = costs.setdefault(plan, [])
-        row.extend(solve_opf(net, d=s, built=plan).objective
-                   for s in scenarios[len(row):])
-        k, q = max(enumerate(row), key=lambda kq: kq[1], default=(-1, -np.inf))
+        row = table.setdefault(plan, [])
+        row.extend(solve_opf(net, d=s, built=plan) for s in scenarios[len(row):])
+        k, q = max(enumerate(sol.objective for sol in row), key=lambda kq: kq[1],
+                   default=(-1, -np.inf))
         return q, k
 
-    def price(plan: frozenset) -> tuple[float, np.ndarray]:
-        """``plan``'s worst cost and a point attaining it."""
+    def price(plan: frozenset) -> InnerResult:
+        """``plan``'s worst case: its last ascent, or the stored scenario
+        that costs more, with the table's dispatch."""
         q, k = stored_worst(plan)
         best = searched[plan]
         if q > best.worst_cost:
-            return q, scenarios[k]
-        return best.worst_cost, best.worst_point
+            return InnerResult(q, scenarios[k].copy(), table[plan][k], 1, True)
+        return best
 
     def upper_bound() -> tuple[frozenset, float]:
-        totals = {p: investment_cost(net, p) + price(p)[0] for p in searched}
+        totals = {p: investment_cost(net, p) + price(p).worst_cost for p in searched}
         plan = min(totals, key=totals.get)
         if z_lo > totals[plan] + master_gap:
             raise NumericalError(f"lower bound {z_lo!r} exceeds upper bound "
@@ -358,24 +359,29 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
                                  starts=inner_starts, seed=seed)
         q, k = stored_worst(built)
         if q > search.worst_cost:  # the ascent missed a costlier stored point
-            search = inner_solve(net, es, built, tol=inner_tol, max_iter=max_inner,
-                                 start=scenarios[k])
+            d = es.pull_inside(scenarios[k])
+            sol = (table[built][k] if np.array_equal(d, scenarios[k])
+                   else solve_opf(net, d=d, built=built))
+            search = _ascend(net, es, built, d, sol, inner_tol, max_inner)
         searched[built] = search
-        worst_cost, point = price(built)
+        worst = price(built)
         z_up = upper_bound()[1]
         gap = _relative_gap(z_up, z_lo)
         log.append(OuterIteration(nu=nu, built=built,
                                   investment=investment_cost(net, built),
-                                  worst_cost=worst_cost, z_up=z_up, z_lo=z_lo,
+                                  worst_cost=worst.worst_cost, z_up=z_up, z_lo=z_lo,
                                   gap=gap, master_nodes=0, master_root_pivots=0,
                                   runtime_s=time.perf_counter() - tick))
         if gap <= tol:
             status = "converged"
             break
+        point = worst.worst_point
         if any(float(np.max(np.abs(point - s))) <= stall_tol for s in scenarios):
             status = "stalled"
             break
+        # A stored point would have stalled, so this one is the ascent's.
         scenarios.append(point.copy())
+        table[built].append(worst.dispatch)
         master = solve_master(net, scenarios, gap_tol=master_gap,
                               root_state=root_state)
         root_state = master.root_state
@@ -389,13 +395,9 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
         log[-1].runtime_s = time.perf_counter() - tick
 
     plan, z_up = upper_bound()
-    worst_cost, point = price(plan)
-    inner = searched[plan]
-    if point is not inner.worst_point:  # a stored scenario sets the price
-        inner = InnerResult(worst_cost, point.copy(),
-                            solve_opf(net, d=point, built=plan), 1, True, [worst_cost])
+    inner = price(plan)
     return PlanResult(status=status, built=plan,
-                      investment=investment_cost(net, plan), worst_cost=worst_cost,
+                      investment=investment_cost(net, plan), worst_cost=inner.worst_cost,
                       objective=z_up, z_lo=z_lo, z_up=z_up,
                       gap=_relative_gap(z_up, z_lo), scenarios=scenarios,
                       iterations=log, inner=inner)

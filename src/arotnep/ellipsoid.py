@@ -72,11 +72,6 @@ def prob_exceedance(beta: float) -> float:
     return phi(-float(beta))
 
 
-def beta_for_quantile(p: float) -> float:
-    """Radius whose worst case is the ``p``-quantile of the cost."""
-    return phi_inv(p)
-
-
 def soyster_beta(n: int, z: float) -> float:
     """Radius at which the ellipsoid contains the full ``z``-sigma box corner
     in ``n`` dimensions; beyond it the set degenerates to interval robustness."""
@@ -140,6 +135,8 @@ class EllipsoidalSet:
     def __init__(self, mean, covariance, radius, half_width=None, signs=None):
         self.mean = np.atleast_1d(np.asarray(mean, dtype=float)).copy()
         n = self.mean.size
+        if not np.all(np.isfinite(self.mean)):
+            raise ValidationError("mean has nonfinite entries")
         cov = np.asarray(covariance, dtype=float)
         if cov.shape != (n, n):
             raise ValidationError(
@@ -199,13 +196,19 @@ class EllipsoidalSet:
 
     # -- geometry ---------------------------------------------------------------
 
+    def _point(self, d) -> np.ndarray:
+        d = np.asarray(d, dtype=float)
+        if d.shape != self.mean.shape:
+            raise ValidationError(f"shape {d.shape} does not match the set's {self.mean.shape}")
+        return d
+
     def mahalanobis_sq(self, d: np.ndarray) -> float:
-        delta = np.asarray(d, dtype=float) - self.mean
+        delta = self._point(d) - self.mean
         w = np.linalg.solve(self.chol, delta)
         return float(w @ w)
 
     def contains(self, d: np.ndarray, tol: float = 1e-9) -> bool:
-        d = np.asarray(d, dtype=float)
+        d = self._point(d)
         scale = 1.0 + float(np.max(np.abs(self.mean)))
         if np.any(d < self.lower - tol * scale) or np.any(d > self.upper + tol * scale):
             return False
@@ -227,8 +230,7 @@ class EllipsoidalSet:
         """Clip to the interval limits, then shrink toward the mean until the
         ellipsoid holds; intervals contain the mean so shrinking never breaks
         them. Used to build feasible initial points."""
-        d = np.asarray(d, dtype=float)
-        clipped = np.clip(d, self.lower, self.upper)
+        clipped = np.clip(self._point(d), self.lower, self.upper)
         m2 = self.mahalanobis_sq(clipped)
         if m2 <= self.radius**2 or m2 <= 0.0:
             return clipped
@@ -237,40 +239,28 @@ class EllipsoidalSet:
 
     # -- worst-case steps -------------------------------------------------------
 
-    def analytical_step(self, eta: np.ndarray) -> MaxLikelihoodPoint:
-        """Maximizer of ``eta @ d`` over the bare ellipsoid (no interval
-        limits): ``mean + radius * Sigma eta / sqrt(eta' Sigma eta)``."""
-        eta = np.asarray(eta, dtype=float)
-        if eta.size != self.dim:
-            raise ValidationError("gradient size does not match the set")
+    def bounded_step(self, eta: np.ndarray) -> MaxLikelihoodPoint:
+        """Maximizer of ``eta @ d`` over the ellipsoid intersected with the
+        interval limits.
+
+        Tries, in order: the closed-form bare-ellipsoid maximizer (kept when
+        it respects the intervals), the interval maximizer (kept when it
+        respects the ellipsoid), and otherwise an exact boundary solve — an
+        active-set box QP for each trial value of the inverse ellipsoid
+        multiplier, with the multiplier found in closed form per active set
+        inside a bisection bracket — verified to a KKT residual of
+        ``_KKT_TOL``. A vanishing gradient flags ``zero_gradient``.
+        """
+        eta = self._point(eta)
         sig_eta = self.covariance @ eta
         denom_sq = float(eta @ sig_eta)
         if denom_sq <= 0.0 or float(np.max(np.abs(eta))) <= 1e-12:
             return MaxLikelihoodPoint(self.mean.copy(), zero_gradient=True)
         d = self.mean + self.radius * sig_eta / math.sqrt(denom_sq)
-        return MaxLikelihoodPoint(d, zero_gradient=False)
-
-    def bounded_step(self, eta: np.ndarray) -> MaxLikelihoodPoint:
-        """Maximizer of ``eta @ d`` over the ellipsoid intersected with the
-        interval limits.
-
-        Tries, in order: the bare-ellipsoid maximizer (kept when it respects
-        the intervals), the interval maximizer (kept when it respects the
-        ellipsoid), and otherwise an exact boundary solve — an active-set
-        box QP for each trial value of the inverse ellipsoid multiplier,
-        with the multiplier found in closed form per active set inside a
-        bisection bracket — verified to a KKT residual of ``_KKT_TOL``.
-        """
-        step = self.analytical_step(eta)
-        if step.zero_gradient:
-            return step
         scale = 1.0 + float(np.max(np.abs(self.mean)))
-        if np.all(step.point >= self.lower - 1e-9 * scale) and \
-                np.all(step.point <= self.upper + 1e-9 * scale):
-            step.point = np.clip(step.point, self.lower, self.upper)
-            return step
+        if np.all(d >= self.lower - 1e-9 * scale) and np.all(d <= self.upper + 1e-9 * scale):
+            return MaxLikelihoodPoint(np.clip(d, self.lower, self.upper))
 
-        eta = np.asarray(eta, dtype=float)
         box_pt = np.where(eta > 0, self.upper, np.where(eta < 0, self.lower, self.mean))
         # The interval maximizer only exists when every active coordinate has
         # a finite limit in its improving direction.

@@ -80,10 +80,7 @@ class SimulationReport:
 def sample_scenarios(es: EllipsoidalSet, n_samples: int, seed: int) -> np.ndarray:
     """``n_samples`` Gaussian draws (one per row) with the set's mean and
     covariance; identical seeds give identical draws."""
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
-    rng = np.random.default_rng(seed)
-    return es.sample(rng, n_samples)
+    return es.sample(np.random.default_rng(seed), n_samples)
 
 
 def _histogram(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -87,10 +87,6 @@ class Network:
     @cached_property
     def reference_bus(self) -> str:
         return next(bus.id for bus in self.buses if bus.reference)
-
-    @property
-    def existing_lines(self) -> tuple[Line, ...]:
-        return tuple(ln for ln in self.lines if ln.status == LINE_EXISTING)
 
     @property
     def candidate_lines(self) -> tuple[Line, ...]:
@@ -373,28 +369,19 @@ def network_hash(path: str | Path) -> str:
 
 def annualize_costs(net: Network, return_period_years: float,
                     discount_rate: float) -> Network:
-    """Express all costs on a common per-year basis.
+    """Express build costs on a per-year basis.
 
-    Build costs are multiplied by ``discount_rate`` (a 10 M investment at a
-    10% rate contributes 1 M per year) and operating prices absorb the
-    operating-hours weighting factor, which is then reset to one so the
-    scaling cannot be applied twice. The budget is interpreted as annual and
-    left untouched. ``return_period_years`` documents the planning horizon
-    and must be positive.
+    Candidate build costs are multiplied by ``discount_rate`` (a 10 M
+    investment at a 10% rate contributes 1 M per year). Operating prices stay
+    per MWh: the dispatch alone weights them by ``weighting_factor_hours``.
+    The budget is annual and left untouched; ``return_period_years``
+    documents the planning horizon and must be positive.
     """
     if return_period_years <= 0.0:
         raise ValidationError("return_period_years must be positive")
     if not 0.0 < discount_rate <= 1.0:
         raise ValidationError("discount_rate must lie in (0, 1]")
-    hours = net.weighting_factor_hours
-    lines = tuple(
+    return replace(net, lines=tuple(
         replace(ln, build_cost=ln.build_cost * discount_rate) if ln.status == LINE_CANDIDATE
         else ln
-        for ln in net.lines)
-    generators = tuple(replace(g, marginal_cost=g.marginal_cost * hours)
-                       for g in net.generators)
-    demands = tuple(replace(d, bid_price=d.bid_price * hours,
-                            shed_cost=d.shed_cost * hours)
-                    for d in net.demands)
-    return replace(net, lines=lines, generators=generators, demands=demands,
-                   weighting_factor_hours=1.0)
+        for ln in net.lines))

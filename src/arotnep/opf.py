@@ -3,10 +3,11 @@
 For a fixed topology (existing lines plus any built candidates) and a fixed
 realization of the uncertain parameters — available generator capacities and
 demand loads — this module dispatches generation, flows and voltage angles
-to minimize weighted generation plus shedding cost. Every demand may be
-shed at its shed cost, so the dispatch problem is feasible for any topology
-and any realization, including isolated buses; it is also bounded, because
-every variable lives in a finite box.
+to minimize generation plus shedding cost, every price (per MWh) weighted
+by ``weighting_factor_hours`` in :func:`dispatch_block` and nowhere else.
+Every demand may be shed at its shed cost, so the dispatch problem is
+feasible for any topology and any realization, including isolated buses; it
+is also bounded, because every variable lives in a finite box.
 
 :func:`dispatch_block` writes that model once, for this module and for the
 scenario blocks of the investment master; :func:`switching_rows` writes the

@@ -200,7 +200,7 @@ def test_criterion_04_boundary_step_matches_brute_force():
             eta = rng.normal(size=n)
         es = EllipsoidalSet(mean, cov, beta)
 
-        step = es.analytical_step(eta)
+        step = es.bounded_step(eta)
         assert not step.zero_gradient
         assert es.mahalanobis_sq(step.point) == pytest.approx(beta**2,
                                                               rel=1e-9)

@@ -163,20 +163,56 @@ def test_inner_multistart_beats_single_poor_start(onebus):
     assert best.worst_cost > from_mean.worst_cost * 2.0
 
 
-def test_inner_cost_history_nondecreasing(onebus, garver_annual):
-    runs = []
+def recorded_solves(monkeypatch):
+    """Every ``decomp.solve_opf`` call from here on, as ``(built, d, sol)``."""
+    calls = []
+
+    def recording(net, d=None, built=frozenset()):
+        sol = solve_opf(net, d=d, built=built)
+        calls.append((frozenset(built), np.array(d, dtype=float), sol))
+        return sol
+
+    monkeypatch.setattr(dc, "solve_opf", recording)
+    return calls
+
+
+def test_inner_cost_history_nondecreasing(onebus, garver_annual, monkeypatch):
     es1 = EllipsoidalSet.from_std_and_correlation(
         onebus.nominal_uncertain(), np.array([80.0, 6.0]), np.eye(2), 1.0,
         signs=onebus.uncertain_signs())
-    runs.append(inner_solve(onebus, es1))
     es2 = interval_uncertainty(garver_annual, 2.3263)
-    runs.append(inner_solve(garver_annual, es2))
-    runs.append(inner_solve(garver_annual, es2,
-                            built=frozenset({"C2-6a", "C4-6a"})))
-    for res in runs:
-        hist = np.asarray(res.history)
-        assert hist.size >= 1
+    runs = [(onebus, es1, frozenset()), (garver_annual, es2, frozenset()),
+            (garver_annual, es2, frozenset({"C2-6a", "C4-6a"}))]
+    for net, es, built in runs:
+        calls = recorded_solves(monkeypatch)
+        res = inner_solve(net, es, built)
+        # One dispatch per sweep, in sweep order.
+        hist = np.array([sol.objective for _, _, sol in calls])
+        assert hist.size == res.iterations >= 1
         assert np.all(np.diff(hist) >= -1e-9 * (1.0 + np.abs(hist[:-1])))
+
+
+@pytest.mark.parametrize("built", [frozenset(), frozenset({"C2-6a"}),
+                                   frozenset({"C3-5a", "C4-6a"}),
+                                   frozenset({"C2-6a", "C2-6b", "C4-6a"})])
+def test_inner_prices_each_point_once(built, monkeypatch):
+    # A step back to the point just priced ends the ascent; it is not
+    # dispatched again.
+    cfg = load_study_config(study_path("garver6_study"))
+    net = load_configured_network(cfg)
+    es = build_uncertainty(cfg, net)
+    rng = np.random.default_rng(7)
+    starts = [None, es.mean.copy()]
+    for _ in range(4):
+        z = rng.standard_normal(es.dim)
+        starts.append(es.pull_inside(es.map_z(z / np.linalg.norm(z) * es.radius)))
+    for start in starts:
+        calls = recorded_solves(monkeypatch)
+        res = inner_solve(net, es, built, tol=cfg.tolerance,
+                          max_iter=cfg.max_inner, start=start)
+        points = [d.tobytes() for _, d, _ in calls]
+        assert len(points) == len(set(points)) == res.iterations
+        assert res.dispatch is calls[-1][2]
 
 
 def test_inner_restart_from_own_output_is_fixed_point(twobus_annual):
@@ -207,7 +243,7 @@ def test_negative_seed_is_a_validation_error(onebus):
         outer_solve(onebus, es, seed=-1)
 
 
-def test_inner_rejects_sweep_cap_below_one(onebus):
+def test_inner_rejects_sweep_cap_below_one(onebus, monkeypatch):
     es = EllipsoidalSet.from_std_and_correlation(
         onebus.nominal_uncertain(), np.array([80.0, 6.0]), np.eye(2), 1.0,
         signs=onebus.uncertain_signs())
@@ -215,9 +251,10 @@ def test_inner_rejects_sweep_cap_below_one(onebus):
         with pytest.raises(ValidationError, match="max_iter must be at least 1"):
             inner_solve(onebus, es, max_iter=cap)
     # One sweep is too few here, but the result still prices its point.
+    calls = recorded_solves(monkeypatch)
     res = inner_solve(onebus, es, max_iter=1)
     assert not res.converged and res.iterations == 1
-    assert res.history == [res.worst_cost]
+    assert [sol.objective for _, _, sol in calls] == [res.worst_cost]
     assert res.worst_cost == pytest.approx(
         solve_opf(onebus, d=res.worst_point).objective, rel=1e-12)
 
@@ -226,6 +263,16 @@ def test_inner_dimension_mismatch_rejected(onebus):
     es = EllipsoidalSet(np.array([50.0]), np.array([[4.0]]), 1.0)
     with pytest.raises(ValidationError):
         inner_solve(onebus, es)
+    # A set of the right size, and a start or point of the wrong one.
+    es = EllipsoidalSet.from_std_and_correlation(
+        onebus.nominal_uncertain(), np.array([10.0, 5.0]), np.eye(2), 1.0,
+        signs=onebus.uncertain_signs())
+    wrong = np.zeros(3)
+    with pytest.raises(ValidationError, match="does not match the set"):
+        inner_solve(onebus, es, start=wrong)
+    for method in (es.contains, es.pull_inside, es.mahalanobis_sq):
+        with pytest.raises(ValidationError, match="does not match the set"):
+            method(wrong)
 
 
 def test_inner_flat_cost_reports_zero_gradient(onebus):
@@ -398,7 +445,7 @@ def test_outer_builds_line_when_worth_it(twobus_annual):
     # demand by beta standard deviations, all inside the interval limits.
     gen = twobus_annual.generators[0]
     worst_load = 60.0 + beta * 5.0
-    expected = 1.0 + gen.marginal_cost * worst_load
+    expected = 1.0 + twobus_annual.weighting_factor_hours * gen.marginal_cost * worst_load
     assert plan.objective == pytest.approx(expected, rel=1e-6)
     np.testing.assert_allclose(plan.inner.worst_point,
                                [200.0, worst_load], rtol=1e-6)
@@ -481,10 +528,9 @@ def test_outer_iteration_cap_reports_limit(twobus_annual):
 def fake_search(point):
     """A worst-case search that always returns ``point``, priced exactly."""
     def search(net, es, built=frozenset(), **kwargs):
-        sol = solve_opf(net, d=point, built=built)
+        sol = dc.solve_opf(net, d=point, built=built)
         return InnerResult(worst_cost=sol.objective, worst_point=point,
-                           dispatch=sol, iterations=1, converged=True,
-                           history=[sol.objective])
+                           dispatch=sol, iterations=1, converged=True)
     return search
 
 
@@ -494,8 +540,8 @@ def test_outer_repeated_worst_point_stalls(monkeypatch, twobus):
     point = np.array([150.0, 70.0])
     cost = solve_opf(twobus, d=point).objective
     fake_inner = InnerResult(worst_cost=100.0, worst_point=point,
-                             dispatch=None, iterations=1, converged=True,
-                             history=[100.0])
+                             dispatch=solve_opf(twobus, d=point), iterations=1,
+                             converged=True)
     fake_master = MasterResult(built=frozenset(), gamma=cost,
                                investment=0.0, objective=cost, nodes=0)
     monkeypatch.setattr(dc, "worst_case_cost", lambda *a, **k: fake_inner)
@@ -534,3 +580,39 @@ def test_outer_lower_bound_above_upper_bound_raises(monkeypatch, twobus):
     monkeypatch.setattr(dc, "solve_master", lambda *a, **k: fake_master)
     with pytest.raises(NumericalError, match="exceeds upper bound"):
         dc.outer_solve(net, twobus_set(1.0))
+
+
+def test_outer_reports_the_stored_dispatch_that_sets_the_price(monkeypatch, twobus):
+    # The no-build plan's search finds a heavy load, which building the line
+    # serves; the built plan's search finds a low capacity, which no line
+    # helps.  That second point then prices the no-build plan above its own
+    # search, and the no-build plan is the final one.
+    heavy, short = np.array([200.0, 60.0]), np.array([20.0, 60.0])
+    line = frozenset({"C1-2a"})
+    invest = investment_cost(twobus, line)
+    cost = {(p, k): solve_opf(twobus, d=d, built=p).objective
+            for p in (frozenset(), line) for k, d in (("heavy", heavy), ("short", short))}
+    assert invest + cost[line, "heavy"] < cost[frozenset(), "heavy"]
+    assert cost[frozenset(), "heavy"] < cost[frozenset(), "short"]
+    assert cost[frozenset(), "short"] < invest + cost[line, "short"]
+    searches = {frozenset(): fake_search(heavy), line: fake_search(short)}
+    masters = iter([
+        MasterResult(built=line, gamma=cost[line, "heavy"], investment=invest,
+                     objective=invest + cost[line, "heavy"], nodes=0),
+        MasterResult(built=frozenset(), gamma=cost[frozenset(), "short"],
+                     investment=0.0, objective=cost[frozenset(), "short"], nodes=0)])
+    monkeypatch.setattr(dc, "worst_case_cost",
+                        lambda net, es, built, **kw: searches[built](net, es, built))
+    monkeypatch.setattr(dc, "solve_master", lambda *a, **k: next(masters))
+    calls = recorded_solves(monkeypatch)
+    plan = dc.outer_solve(twobus, twobus_set(1.0), max_outer=2)
+
+    assert plan.status == "iteration_limit"
+    assert plan.built == frozenset()
+    assert plan.worst_cost == cost[frozenset(), "short"] == plan.z_lo == plan.z_up
+    np.testing.assert_array_equal(plan.inner.worst_point, short)
+    (stored,) = [sol for built, d, sol in calls
+                 if built == frozenset() and np.array_equal(d, short)]
+    assert plan.inner.dispatch is stored
+    pairs = [(built, d.tobytes()) for built, d, _ in calls]
+    assert len(pairs) == len(set(pairs)) == 4

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from arotnep.ellipsoid import (
     EllipsoidalSet,
-    beta_for_quantile,
     cholesky_lower,
     phi,
     phi_inv,
@@ -50,7 +49,7 @@ def test_normal_cdf_table_values(x, p, tol):
 def test_quantile_matches_table():
     assert phi_inv(0.9) == pytest.approx(1.28155, abs=1e-5)
     assert phi_inv(0.99) == pytest.approx(2.3263, abs=1e-4)
-    assert beta_for_quantile(0.99999146) == pytest.approx(4.3, abs=1e-3)
+    assert phi_inv(0.99999146) == pytest.approx(4.3, abs=1e-3)
 
 
 @pytest.mark.parametrize("p, bits", [
@@ -146,6 +145,8 @@ def test_constructor_validation():
         EllipsoidalSet([0.0], [[1.0]], 1.0, signs=[2.0])
     with pytest.raises(ValidationError, match=r"not positive definite \(leading minor 1\)"):
         EllipsoidalSet([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], 1.0)
+    with pytest.raises(ValidationError, match="mean has nonfinite entries"):
+        EllipsoidalSet([np.nan, 1.0], np.eye(2), 1.0)
 
 
 def test_contains_and_signs():
@@ -194,10 +195,11 @@ def test_pull_inside():
 # worst-case steps
 
 
+# Without interval limits, bounded_step returns its closed-form stage.
 def test_analytical_step_identity_covariance():
     es = EllipsoidalSet(np.zeros(3), np.eye(3), 2.0)
     eta = np.array([3.0, 0.0, 4.0])
-    step = es.analytical_step(eta)
+    step = es.bounded_step(eta)
     assert not step.zero_gradient
     np.testing.assert_allclose(step.point, 2.0 * eta / 5.0, atol=1e-12)
 
@@ -208,7 +210,7 @@ def test_analytical_step_objective_value():
     mean = rng.normal(size=5)
     es = EllipsoidalSet(mean, cov, 1.7)
     eta = rng.normal(size=5)
-    step = es.analytical_step(eta)
+    step = es.bounded_step(eta)
     want = float(eta @ mean) + 1.7 * math.sqrt(float(eta @ cov @ eta))
     assert float(eta @ step.point) == pytest.approx(want, rel=1e-12)
     assert es.mahalanobis_sq(step.point) == pytest.approx(1.7**2, rel=1e-9)
@@ -216,7 +218,7 @@ def test_analytical_step_objective_value():
 
 def test_analytical_step_zero_gradient_flag():
     es = EllipsoidalSet([1.0, 2.0], np.eye(2), 1.0)
-    step = es.analytical_step([0.0, 0.0])
+    step = es.bounded_step([0.0, 0.0])
     assert step.zero_gradient
     np.testing.assert_allclose(step.point, [1.0, 2.0])
 
@@ -228,7 +230,7 @@ def test_bounded_step_equals_analytical_when_box_loose():
     es_box = EllipsoidalSet(np.zeros(4), cov, 1.2, half_width=np.full(4, 1e6))
     eta = rng.normal(size=4)
     np.testing.assert_allclose(es_box.bounded_step(eta).point,
-                               es_free.analytical_step(eta).point, atol=1e-9)
+                               es_free.bounded_step(eta).point, atol=1e-9)
 
 
 def test_bounded_step_box_corner():

@@ -1,6 +1,7 @@
 """Network model, file parsing, validation, hashing and cost annualization."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from arotnep.datasets import dataset_names, dataset_path, load_dataset
 from arotnep.errors import ParseError, ValidationError
 from arotnep.network import (
+    LINE_CANDIDATE,
+    LINE_EXISTING,
     annualize_costs,
     load_network,
     network_from_dict,
@@ -15,6 +18,7 @@ from arotnep.network import (
     network_to_dict,
     save_network,
 )
+from arotnep.opf import dispatch_block
 
 
 @pytest.fixture
@@ -45,7 +49,7 @@ def minimal_dict(**overrides):
 def test_bundled_datasets_load(garver):
     assert set(dataset_names()) == {"garver6", "onebus", "twobus"}
     assert len(garver.buses) == 6
-    assert len(garver.existing_lines) == 6
+    assert sum(ln.status == LINE_EXISTING for ln in garver.lines) == 6
     assert len(garver.candidate_lines) == 45
     assert garver.n_uncertain == 8
     assert garver.reference_bus == "1"
@@ -170,20 +174,34 @@ def test_corridor_candidate_limit():
         network_from_dict(doc)
 
 
-def test_annualize_scales_build_and_operating_costs(garver):
+def test_annualize_scales_build_costs_only(garver):
     annual = annualize_costs(garver, return_period_years=25.0, discount_rate=0.10)
     # A 10% rate turns a 30 build cost into 3 per year.
     cand = {ln.id: ln for ln in annual.candidate_lines}
     assert cand["C2-6a"].build_cost == pytest.approx(3.0)
-    # Operating prices absorb the hours weighting, which is then reset.
-    assert annual.weighting_factor_hours == 1.0
-    assert annual.generators[0].marginal_cost == pytest.approx(
-        garver.generators[0].marginal_cost * 8760.0)
-    assert annual.demands[0].shed_cost == pytest.approx(
-        garver.demands[0].shed_cost * 8760.0)
     # Existing lines and physical data stay put.
-    assert annual.existing_lines == garver.existing_lines
+    for old, new in zip(garver.lines, annual.lines, strict=True):
+        rate = 0.10 if old.status == LINE_CANDIDATE else 1.0
+        assert new == replace(old, build_cost=old.build_cost * rate)
     assert annual.budget == garver.budget
+    # Prices stay per MWh, and the hours weighting stays for the dispatch.
+    assert annual.generators == garver.generators
+    assert annual.demands == garver.demands
+    assert annual.weighting_factor_hours == garver.weighting_factor_hours == 8760.0
+    # The dispatch prices to the bit what prices pre-multiplied by the hours
+    # price with a weight of one.
+    hours = garver.weighting_factor_hours
+    premultiplied = replace(
+        annual, weighting_factor_hours=1.0,
+        generators=tuple(replace(g, marginal_cost=g.marginal_cost * hours)
+                         for g in annual.generators),
+        demands=tuple(replace(d, bid_price=d.bid_price * hours,
+                              shed_cost=d.shed_cost * hours) for d in annual.demands))
+    lines = list(annual.lines)
+    coupled = [ln.status == LINE_EXISTING for ln in lines]
+    d = annual.nominal_uncertain()
+    cost = dispatch_block(annual, lines, d, coupled)[0]
+    assert cost.tobytes() == dispatch_block(premultiplied, lines, d, coupled)[0].tobytes()
 
 
 def test_annualize_rejects_bad_rates(garver):

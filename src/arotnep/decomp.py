@@ -317,6 +317,11 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
     off ``z_lo``, or a ``z_lo`` above ``z_up``, by more than ``master_gap``
     raises :class:`NumericalError`.
     """
+    if max_outer < 1:
+        raise ValidationError(f"max_outer must be at least 1, got {max_outer}")
+    for name, value in (("tol", tol), ("inner_tol", inner_tol), ("master_gap", master_gap)):
+        if not value >= 0.0:
+            raise ValidationError(f"{name} must be nonnegative, got {value}")
     scenarios: list[np.ndarray] = []
     log: list[OuterIteration] = []
     built: frozenset[str] = frozenset()

@@ -8,12 +8,10 @@ capacities), ``+1`` only rise above it (demand loads), ``0`` move both ways.
 The maximization helpers answer the question the worst-case subproblem asks
 each sweep: given a cost gradient, which point of the set maximizes the
 linearized cost? When neither the bare-ellipsoid maximizer nor the interval
-corner is feasible, both limits bind and the step is exact: for the inverse
-``t`` of the ellipsoid multiplier, a primal active-set method solves the
-box-constrained quadratic program of the Lagrangian, and because its
-solution is affine in ``t`` while the active set holds, the ``t`` that puts
-it on the ellipsoid follows from a quadratic equation, safeguarded by a
-bisection bracket. A few such steps suffice.
+corner is feasible, both limits bind and the step is exact: the Lagrangian
+maximizer over the box is affine in the inverse ``t`` of the ellipsoid
+multiplier between events where a coordinate reaches or leaves a bound, so
+the step follows it from the mean, event by event, to the ellipsoid.
 
 The probability helpers convert between the set radius and Gaussian
 quantiles: a radius ``beta`` covers the cost distribution to level
@@ -187,6 +185,11 @@ class EllipsoidalSet:
         if np.any(std <= 0.0):
             raise ValidationError("standard deviations must be positive")
         corr = np.asarray(correlation, dtype=float)
+        if corr.shape != (std.size, std.size):
+            raise ValidationError(f"correlation shape {corr.shape} does not match "
+                                  f"{std.size} standard deviations")
+        if not np.all(np.abs(np.diag(corr) - 1.0) <= 1e-9):
+            raise ValidationError("correlation diagonal must be 1")
         cov = corr * np.outer(std, std)
         return cls(mean, cov, radius, half_width=half_width, signs=signs)
 
@@ -245,13 +248,15 @@ class EllipsoidalSet:
 
         Tries, in order: the closed-form bare-ellipsoid maximizer (kept when
         it respects the intervals), the interval maximizer (kept when it
-        respects the ellipsoid), and otherwise an exact boundary solve — an
-        active-set box QP for each trial value of the inverse ellipsoid
-        multiplier, with the multiplier found in closed form per active set
-        inside a bisection bracket — verified to a KKT residual of
-        ``_KKT_TOL``. A vanishing gradient flags ``zero_gradient``.
+        respects the ellipsoid), and otherwise an exact boundary solve that
+        follows the box-constrained Lagrangian maximizer from the mean to the
+        ellipsoid, verified to a KKT residual of ``_KKT_TOL``. A vanishing
+        gradient flags ``zero_gradient``; a nonfinite one raises
+        :class:`ValidationError`.
         """
         eta = self._point(eta)
+        if not np.all(np.isfinite(eta)):
+            raise ValidationError("gradient has nonfinite entries")
         sig_eta = self.covariance @ eta
         denom_sq = float(eta @ sig_eta)
         if denom_sq <= 0.0 or float(np.max(np.abs(eta))) <= 1e-12:
@@ -277,13 +282,16 @@ class EllipsoidalSet:
         With ``t = 1/omega`` for the ellipsoid multiplier ``omega``, the
         Lagrangian maximizer over the box is ``mean + delta(t)``, where
         ``delta(t)`` minimizes ``delta' Q delta / 2 - t eta' delta`` over the
-        box (``Q`` the precision matrix). ``delta(t)' Q delta(t)`` is
-        nondecreasing and piecewise quadratic in ``t``: while the active set
-        holds, ``delta(t) = t a + b``. Each iteration solves the box QP at
-        ``t``, narrows a bracket on the sign of the excess over
-        ``radius**2``, and moves to the closed-form root of the current
-        piece when it lies inside the bracket; otherwise it bisects, or
-        doubles ``t`` while the bracket is still open above.
+        box (``Q`` the precision matrix). ``delta(t)`` is continuous and
+        piecewise affine, starts at ``delta(0) = 0`` because the box holds
+        the mean, and ``delta(t)' Q delta(t)`` is nondecreasing. The solve
+        follows the path from ``t = 0`` one event at a time: on each piece a
+        coordinate is free or held at a bound and ``delta = t a + b``; the
+        piece ends where a free coordinate reaches a bound or a held one's
+        multiplier ``g = Q delta - t eta`` changes sign. On the piece where
+        ``delta' Q delta`` reaches ``radius**2`` the crossing is a root of a
+        quadratic; a path that never reaches it ends at the box maximizer,
+        which lies inside the ellipsoid and is returned as is.
         """
         if self.radius <= 0.0:
             return self.mean.copy()
@@ -292,41 +300,50 @@ class EllipsoidalSet:
         lo = self.lower - self.mean
         hi = self.upper - self.mean
         fixed = lo == hi
-        # Start from the clipped bare-ellipsoid maximizer and its multiplier.
-        t = self.radius / math.sqrt(float(eta @ self.covariance @ eta))
-        delta = np.clip(t * (self.covariance @ eta), lo, hi)
-        side = np.where(delta <= lo, -1, np.where(delta >= hi, 1, 0)).astype(np.int8)
-        t_lo, t_hi = 0.0, math.inf
-        for _ in range(200):
-            delta, side, a, b = _box_qp(Q, eta, t, lo, hi, delta, side)
-            omega = 1.0 / t
-            excess = float(delta @ Q @ delta) - r2
-            if abs(excess) <= 1e-12 * (1.0 + r2):
-                break
-            if excess < 0.0:
-                t_lo = t
-            else:
-                t_hi = t
+        # -1 held at the lower bound, +1 at the upper, 0 free. Every
+        # coordinate starts free but a fixed one; one that leaves the box at
+        # once reaches its bound at t = 0.
+        side = fixed.astype(np.int8)
+        t = 0.0
+        for _ in range(100 * (self.dim + 1)):
+            free = side == 0
+            F = np.flatnonzero(free)
+            a = np.zeros(self.dim)
+            b = np.where(side > 0, hi, np.where(side < 0, lo, 0.0))
+            if F.size:
+                rhs = np.column_stack((eta[F], -(Q[np.ix_(F, ~free)] @ b[~free])))
+                ab = np.linalg.solve(Q[np.ix_(F, F)], rhs)
+                a[F] = ab[:, 0]
+                b[F] = ab[:, 1]
             qa = Q @ a
-            root = _upper_root(float(a @ qa), float(b @ qa), float(b @ Q @ b) - r2)
-            if t_lo < root < t_hi:
-                t = root
-            elif math.isfinite(t_hi):
-                mid = 0.5 * (t_lo + t_hi)
-                if not t_lo < mid < t_hi:
-                    break
-                t = mid
-            elif np.any(a) or np.any((side * eta < 0.0) & ~fixed):
-                t *= 2.0  # delta still grows, or a bound releases further out
-            else:
-                # This active set holds for every larger t with delta fixed
-                # inside the ellipsoid: the ellipsoid does not bind, and the
-                # point maximizes eta @ d over the box.
-                return self.mean + delta
+            qb = Q @ b
+            ga = qa - eta  # g = t ga + qb
+            with np.errstate(divide="ignore", invalid="ignore"):
+                event = np.where(a > 0.0, (hi - b) / a, np.where(a < 0.0, (lo - b) / a, np.inf))
+                event = np.where(free, event,
+                                 np.where((side * ga > 0.0) & ~fixed, -qb / ga, np.inf))
+            j = int(np.argmin(event))
+            t_next = max(float(event[j]), t)
+            if t_next == math.inf:
+                if not np.any(a):
+                    # delta stays at b for every larger t, inside the
+                    # ellipsoid: b is the box maximizer.
+                    return self.mean + b
+                break
+            if t_next * (t_next * float(a @ qa) + 2.0 * float(a @ qb)) + float(b @ qb) >= r2:
+                break
+            t = t_next
+            side[j] = 0 if side[j] else (1 if a[j] > 0.0 else -1)
+        else:
+            raise NumericalError("worst-case boundary solve did not reach the ellipsoid")
 
-        d = self.mean + delta
-        resid = self._kkt_residual(eta, d, omega)
-        if resid > _KKT_TOL:
+        # The crossing on the final piece, measured as mahalanobis_sq does.
+        w = np.linalg.solve(self.chol, np.column_stack((a, b)))
+        root = _upper_root(float(w[:, 0] @ w[:, 0]), float(w[:, 0] @ w[:, 1]),
+                           float(w[:, 1] @ w[:, 1]) - r2)
+        d = self.mean + (root * a + b)
+        resid = self._kkt_residual(eta, d, 1.0 / root) if root > 0.0 else math.nan
+        if not resid <= _KKT_TOL:
             raise NumericalError(
                 f"worst-case boundary solve left a KKT residual of {resid:.2e}")
         return d
@@ -365,64 +382,3 @@ def _upper_root(qa: float, qb: float, qc: float) -> float:
     s = math.sqrt(disc)
     return (s - qb) / qa if qb <= 0.0 else -qc / (qb + s)
 
-
-def _box_qp(Q: np.ndarray, eta: np.ndarray, t: float, lo: np.ndarray, hi: np.ndarray,
-            x: np.ndarray, side: np.ndarray):
-    """Minimizer of ``x' Q x / 2 - t eta' x`` over ``lo <= x <= hi`` for
-    symmetric positive definite ``Q``, by the primal active-set method with
-    step lengths (Nocedal & Wright, *Numerical Optimization*, Alg. 16.3).
-
-    Starts from the feasible ``x`` with working set ``side`` (``-1`` held at
-    the lower bound, ``+1`` at the upper, ``0`` free), which must hold every
-    coordinate that sits at a bound. Returns the minimizer, its working set
-    and ``a``, ``b`` such that the minimizer is ``t a + b`` for as long as
-    the working set stays optimal.
-
-    Each pass either reaches the minimizer on the working set's face or
-    stops at the first bound in the way and holds it. A bound is released
-    only at a face minimizer whose multiplier is negative beyond rounding,
-    so the objective falls strictly between face minimizers and no working
-    set recurs: the method cannot cycle. The pass cap guards against
-    rounding alone.
-    """
-    n = x.size
-    x = x.copy()
-    side = side.copy()
-    fixed = lo == hi
-    for _ in range(100 * (n + 1)):
-        free = side == 0
-        F = np.flatnonzero(free)
-        a = np.zeros(n)
-        b = np.where(free, 0.0, x)
-        if F.size:
-            held = ~free
-            rhs = np.column_stack((eta[F], -(Q[np.ix_(F, held)] @ x[held])))
-            ab = np.linalg.solve(Q[np.ix_(F, F)], rhs)
-            a[F] = ab[:, 0]
-            b[F] = ab[:, 1]
-        step = t * a + b - x
-        down = step < 0.0
-        up = step > 0.0
-        ratio = np.full(n, np.inf)
-        ratio[down] = (lo[down] - x[down]) / step[down]
-        ratio[up] = (hi[up] - x[up]) / step[up]
-        alpha = max(float(np.min(ratio)), 0.0)
-        if alpha < 1.0:
-            hit = ratio <= alpha
-            x += alpha * step
-            x[hit & down] = lo[hit & down]
-            x[hit & up] = hi[hit & up]
-            side[hit & down] = -1
-            side[hit & up] = 1
-            continue
-        x = np.clip(t * a + b, lo, hi)
-        qx = Q @ x
-        g = qx - t * eta
-        mult = np.where(side < 0, g, -g)
-        mult[free | fixed] = np.inf
-        j = int(np.argmin(mult))
-        tol = 1e-12 * (t * float(np.max(np.abs(eta))) + float(np.max(np.abs(qx))))
-        if not mult[j] < -tol:
-            return x, side, a, b
-        side[j] = 0
-    raise NumericalError("box-constrained QP of the boundary solve did not settle")

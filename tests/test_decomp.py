@@ -233,7 +233,7 @@ def test_inner_iteration_limit_raises(onebus):
         worst_case_cost(onebus, es, max_iter=1, starts=2, seed=0)
 
 
-def test_negative_seed_is_a_validation_error(onebus):
+def test_bad_search_arguments_are_validation_errors(onebus):
     es = EllipsoidalSet.from_std_and_correlation(
         onebus.nominal_uncertain(), np.array([10.0, 5.0]), np.eye(2), 1.0,
         signs=onebus.uncertain_signs())
@@ -241,6 +241,13 @@ def test_negative_seed_is_a_validation_error(onebus):
         worst_case_cost(onebus, es, seed=-1)
     with pytest.raises(ValidationError, match="seed"):
         outer_solve(onebus, es, seed=-1)
+    for cap in (0, -1):
+        with pytest.raises(ValidationError, match="max_outer must be at least 1"):
+            outer_solve(onebus, es, max_outer=cap)
+    for name in ("tol", "inner_tol", "master_gap"):
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValidationError, match=f"^{name} must be nonnegative"):
+                outer_solve(onebus, es, **{name: bad})
 
 
 def test_inner_rejects_sweep_cap_below_one(onebus, monkeypatch):
@@ -270,9 +277,16 @@ def test_inner_dimension_mismatch_rejected(onebus):
     wrong = np.zeros(3)
     with pytest.raises(ValidationError, match="does not match the set"):
         inner_solve(onebus, es, start=wrong)
-    for method in (es.contains, es.pull_inside, es.mahalanobis_sq):
+    for method in (es.contains, es.pull_inside, es.mahalanobis_sq, es.bounded_step):
         with pytest.raises(ValidationError, match="does not match the set"):
             method(wrong)
+    # A gradient of the right size with nonfinite entries.
+    for bad in ([np.nan, 1.0], [np.inf, 1.0]):
+        with pytest.raises(ValidationError, match="gradient has nonfinite entries"):
+            es.bounded_step(np.array(bad))
+    line = EllipsoidalSet([50.0], [[4.0]], 1.0, half_width=[np.inf])
+    with pytest.raises(ValidationError, match="gradient has nonfinite entries"):
+        line.bounded_step(np.array([np.nan]))
 
 
 def test_inner_flat_cost_reports_zero_gradient(onebus):

@@ -18,7 +18,7 @@ from arotnep.ellipsoid import (
     soyster_beta,
     std_from_interval,
 )
-from arotnep.errors import ValidationError
+from arotnep.errors import NumericalError, ValidationError
 from oracles import (
     ellipsoid_box_argmax,
     ellipsoid_box_dual_max,
@@ -147,6 +147,12 @@ def test_constructor_validation():
         EllipsoidalSet([0.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], 1.0)
     with pytest.raises(ValidationError, match="mean has nonfinite entries"):
         EllipsoidalSet([np.nan, 1.0], np.eye(2), 1.0)
+    with pytest.raises(ValidationError, match=r"correlation shape \(3, 3\) does not match 2"):
+        EllipsoidalSet.from_std_and_correlation([0.0, 0.0], [1.0, 2.0], np.eye(3), 1.0)
+    for diag in (2.0, 1.0 + 1e-8, np.nan):
+        with pytest.raises(ValidationError, match="correlation diagonal must be 1"):
+            EllipsoidalSet.from_std_and_correlation([0.0, 0.0], [1.0, 2.0],
+                                                    [[diag, 0.5], [0.5, 1.0]], 1.0)
 
 
 def test_contains_and_signs():
@@ -399,6 +405,25 @@ def test_boundary_solve_near_singular_covariance():
                                       es.lower, es.upper)
         assert float(eta @ es.bounded_step(eta).point) == pytest.approx(want, rel=1e-10,
                                                                          abs=1e-10)
+
+
+def test_boundary_solve_stays_in_near_singular_sets():
+    # The same rank-2 family over 400 seeds: a step may fail its KKT check,
+    # but every point it returns lies in the set as mahalanobis_sq measures.
+    returned = 0
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(4, 2))
+        es = EllipsoidalSet(rng.normal(scale=3.0, size=4), a @ a.T + 1e-9 * np.eye(4),
+                            rng.uniform(0.3, 4.0), half_width=rng.uniform(0.05, 3.0, size=4),
+                            signs=rng.choice([-1.0, 0.0, 1.0], size=4))
+        try:
+            step = es.bounded_step(rng.normal(size=4))
+        except NumericalError:
+            continue
+        assert es.contains(step.point, tol=1e-9), seed
+        returned += 1
+    assert returned >= 300
 
 
 def test_boundary_solve_zero_half_widths():

@@ -387,6 +387,17 @@ def test_boundary_solve_matches_lagrangian_dual():
     assert checked >= 25
 
 
+def near_singular_instance(seed):
+    """Four coordinates with a rank-2 covariance plus 1e-9 times the
+    identity, mixed deviation signs and half-widths."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 2))
+    es = EllipsoidalSet(rng.normal(scale=3.0, size=4), a @ a.T + 1e-9 * np.eye(4),
+                        rng.uniform(0.3, 4.0), half_width=rng.uniform(0.05, 3.0, size=4),
+                        signs=rng.choice([-1.0, 0.0, 1.0], size=4))
+    return es, rng.normal(size=4)
+
+
 def test_boundary_solve_near_singular_covariance():
     # Rank-2 spread plus a 1e-9 floor: a precision matrix inverted from the
     # covariance itself lost enough digits here to fail the KKT check (seed
@@ -394,12 +405,7 @@ def test_boundary_solve_near_singular_covariance():
     # the covariance raised or fell short of the step on seeds 1, 3 and 11.
     pytest.importorskip("scipy")
     for seed in (7, 1, 3, 11):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(4, 2))
-        es = EllipsoidalSet(rng.normal(scale=3.0, size=4), a @ a.T + 1e-9 * np.eye(4),
-                            rng.uniform(0.3, 4.0), half_width=rng.uniform(0.05, 3.0, size=4),
-                            signs=rng.choice([-1.0, 0.0, 1.0], size=4))
-        eta = rng.normal(size=4)
+        es, eta = near_singular_instance(seed)
         assert_boundary_step_is_exact(es, eta)
         want = ellipsoid_box_dual_max(eta, es.mean, es.covariance, es.radius,
                                       es.lower, es.upper)
@@ -412,13 +418,9 @@ def test_boundary_solve_stays_in_near_singular_sets():
     # but every point it returns lies in the set as mahalanobis_sq measures.
     returned = 0
     for seed in range(400):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(4, 2))
-        es = EllipsoidalSet(rng.normal(scale=3.0, size=4), a @ a.T + 1e-9 * np.eye(4),
-                            rng.uniform(0.3, 4.0), half_width=rng.uniform(0.05, 3.0, size=4),
-                            signs=rng.choice([-1.0, 0.0, 1.0], size=4))
+        es, eta = near_singular_instance(seed)
         try:
-            step = es.bounded_step(rng.normal(size=4))
+            step = es.bounded_step(eta)
         except NumericalError:
             continue
         assert es.contains(step.point, tol=1e-9), seed

@@ -5,7 +5,7 @@ Three subcommands drive a study file (see :mod:`arotnep.config`):
 ``plan``
     Run the master/worst-case decomposition and write ``plan.json``
     (machine-readable, byte-reproducible, priced by dispatch LPs alone) plus
-    ``iterations.csv`` (the outer-loop log; its runtime column is wall clock,
+    ``iterations.csv`` (the outer-loop log; its ``*_s`` columns are wall clock,
     its master node and pivot counts move with the BLAS thread count).
 ``validate``
     Price a previously written plan by Monte Carlo sampling and write
@@ -128,13 +128,15 @@ def _write_iteration_log(plan: PlanResult, path: Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["nu", "z_up", "z_lo", "gap", "investment",
                          "worst_cost", "built", "master_nodes",
-                         "master_root_pivots", "runtime_s"])
+                         "master_root_pivots", "search_s", "master_s",
+                         "runtime_s"])
         for it in plan.iterations:
             writer.writerow([it.nu, repr(it.z_up), repr(it.z_lo),
                              repr(it.gap), repr(it.investment),
                              repr(it.worst_cost),
                              " ".join(sorted(it.built)), it.master_nodes,
-                             it.master_root_pivots, f"{it.runtime_s:.6f}"])
+                             it.master_root_pivots, f"{it.search_s:.6f}",
+                             f"{it.master_s:.6f}", f"{it.runtime_s:.6f}"])
 
 
 def _run_study(cfg: StudyConfig, radius: float):

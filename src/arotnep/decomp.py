@@ -8,7 +8,11 @@ worst-case operational subproblem:
   take the cost gradient, move to the set point maximizing the linearized
   cost, repeat. Operating cost is convex in the uncertain vector, so each
   sweep is nondecreasing; multiple deterministic starts guard against
-  stopping at a poor local maximizer.
+  stopping at a poor local maximizer.  The starts of one search share one
+  store of priced points, so no point is dispatched twice, and each start
+  after the first solves its first dispatch warm, from the last optimal
+  basis the store holds: the plan fixes the dispatch LP's matrix and costs,
+  so that basis is dual feasible at any point.  Ascent steps solve cold.
 * the *master* chooses candidate lines (binaries) and a cost ceiling that
   covers dispatch under every worst-case point collected so far, within the
   investment budget.  It stacks one :func:`~.opf.dispatch_block` per
@@ -63,9 +67,14 @@ class InnerResult:
 
 def inner_solve(net: Network, es: EllipsoidalSet, built=frozenset(), *,
                 tol: float = 1e-6, max_iter: int = 100,
-                start: np.ndarray | None = None) -> InnerResult:
+                start: np.ndarray | None = None,
+                priced: dict[bytes, OPFSolution] | None = None) -> InnerResult:
     """Block-coordinate ascent from one starting point.  It stops on a step or
-    cost change within ``tol``, a zero gradient, or a step back to its point."""
+    cost change within ``tol``, a zero gradient, or a step back to its point.
+
+    ``priced`` maps the bytes of each point already dispatched under
+    ``built`` to its dispatch, in solve order; the ascent reads and extends
+    it, and solves its first dispatch warm from the last one it holds."""
     if es.dim != net.n_uncertain:
         raise ValidationError("uncertainty set dimension does not match network")
     if max_iter < 1:
@@ -74,12 +83,29 @@ def inner_solve(net: Network, es: EllipsoidalSet, built=frozenset(), *,
         adverse = np.where(es.signs == 0.0, 1.0, es.signs)
         start = es.mean + adverse * np.sqrt(np.diag(es.covariance))
     d = es.pull_inside(start)
-    return _ascend(net, es, built, d, solve_opf(net, d=d, built=built), tol, max_iter)
+    priced = {} if priced is None else priced
+    sol = _dispatch(net, built, d, priced, warm=True)
+    return _ascend(net, es, built, d, sol, tol, max_iter, priced)
+
+
+def _dispatch(net: Network, built, d: np.ndarray, priced: dict[bytes, OPFSolution],
+              warm: bool = False) -> OPFSolution:
+    """``built``'s dispatch at ``d`` from ``priced``, solved and stored when
+    missing; a ``warm`` solve starts from the last basis stored."""
+    key = d.tobytes()
+    sol = priced.get(key)
+    if sol is None:
+        last = next(reversed(priced.values()), None) if warm else None
+        sol = priced[key] = solve_opf(net, d=d, built=built,
+                                      warm=None if last is None else last.basis)
+    return sol
 
 
 def _ascend(net: Network, es: EllipsoidalSet, built, d: np.ndarray,
-            sol: OPFSolution, tol: float, max_iter: int) -> InnerResult:
-    """The ascent of :func:`inner_solve` from ``d``, whose dispatch is ``sol``."""
+            sol: OPFSolution, tol: float, max_iter: int,
+            priced: dict[bytes, OPFSolution]) -> InnerResult:
+    """The ascent of :func:`inner_solve` from ``d``, whose dispatch is
+    ``sol``, its steps dispatched cold through ``priced``."""
     scale = 1.0 + float(np.max(np.abs(es.mean)))
     for it in range(1, max_iter + 1):
         move = es.bounded_step(sol.eta)
@@ -88,7 +114,7 @@ def _ascend(net: Network, es: EllipsoidalSet, built, d: np.ndarray,
             return InnerResult(sol.objective, d, sol, it, True)
         if it == max_iter:
             break
-        new = solve_opf(net, d=move.point, built=built)
+        new = _dispatch(net, built, move.point, priced)
         small = (float(np.max(np.abs(move.point - d))) <= tol * scale
                  or abs(new.objective - sol.objective) <= tol * (1.0 + abs(new.objective)))
         d, sol = move.point, new
@@ -101,7 +127,8 @@ def worst_case_cost(net: Network, es: EllipsoidalSet, built=frozenset(), *,
                     tol: float = 1e-6, max_iter: int = 100,
                     starts: int = 3, seed: int = 0) -> InnerResult:
     """Best converged result over several deterministic starts: the adverse
-    one-sigma corner, the mean, and seeded random boundary points."""
+    one-sigma corner, the mean, and seeded random boundary points.  The
+    starts share one store of priced points (see :func:`inner_solve`)."""
     if starts < 1:
         raise ValidationError("starts must be at least 1")
     if seed < 0:
@@ -117,9 +144,11 @@ def worst_case_cost(net: Network, es: EllipsoidalSet, built=frozenset(), *,
             z, nz = np.ones(es.dim), float(np.sqrt(es.dim))
         start_points.append(es.pull_inside(es.map_z(z / nz * es.radius)))
 
+    priced: dict[bytes, OPFSolution] = {}
     best: InnerResult | None = None
     for sp in start_points:
-        res = inner_solve(net, es, built, tol=tol, max_iter=max_iter, start=sp)
+        res = inner_solve(net, es, built, tol=tol, max_iter=max_iter, start=sp,
+                          priced=priced)
         if not res.converged:
             continue
         if best is None or res.worst_cost > best.worst_cost:
@@ -277,6 +306,11 @@ class OuterIteration:
     gap: float
     master_nodes: int  # B&B nodes of this iteration's master; 0 when none ran
     master_root_pivots: int  # pivots of that master's root LP; 0 when none ran
+    # Wall clock: the worst-case search (with the table row it is checked
+    # against and any re-ascent), the master (0 when none ran), and the
+    # whole iteration.
+    search_s: float
+    master_s: float
     runtime_s: float
 
 
@@ -367,7 +401,9 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
             d = es.pull_inside(scenarios[k])
             sol = (table[built][k] if np.array_equal(d, scenarios[k])
                    else solve_opf(net, d=d, built=built))
-            search = _ascend(net, es, built, d, sol, inner_tol, max_inner)
+            search = _ascend(net, es, built, d, sol, inner_tol, max_inner,
+                             {d.tobytes(): sol})
+        search_s = time.perf_counter() - tick
         searched[built] = search
         worst = price(built)
         z_up = upper_bound()[1]
@@ -376,6 +412,7 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
                                   investment=investment_cost(net, built),
                                   worst_cost=worst.worst_cost, z_up=z_up, z_lo=z_lo,
                                   gap=gap, master_nodes=0, master_root_pivots=0,
+                                  search_s=search_s, master_s=0.0,
                                   runtime_s=time.perf_counter() - tick))
         if gap <= tol:
             status = "converged"
@@ -387,8 +424,10 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
         # A stored point would have stalled, so this one is the ascent's.
         scenarios.append(point.copy())
         table[built].append(worst.dispatch)
+        master_tick = time.perf_counter()
         master = solve_master(net, scenarios, gap_tol=master_gap,
                               root_state=root_state)
+        log[-1].master_s = time.perf_counter() - master_tick
         root_state = master.root_state
         built = master.built
         z_lo = master.investment + stored_worst(built)[0]

@@ -23,7 +23,10 @@ gradient is what the worst-case search feeds to the uncertainty set.
 Because the matrix and costs are fixed for a plan, one optimal basis prices
 every realization whose basic values stay within bounds:
 :func:`dispatch_piece` turns a basis into a :class:`DispatchPiece`, which
-Monte Carlo validation uses to price its draws in batches.
+Monte Carlo validation uses to price its draws in batches.  For the same
+reason an optimal basis at one realization is dual feasible at any other,
+and :func:`solve_opf` can start from it (``warm``): the worst-case search
+starts each later ascent that way.
 """
 
 from __future__ import annotations
@@ -251,10 +254,16 @@ def dispatch_piece(net: Network, built, state: BasisState) -> DispatchPiece:
 
 
 def solve_opf(net: Network, d: np.ndarray | None = None,
-              built=frozenset()) -> OPFSolution:
+              built=frozenset(), *, warm: BasisState | None = None) -> OPFSolution:
     """Minimum-cost dispatch; raises :class:`NumericalError` only if the
     LP ends in a status the model rules out (shedding keeps every instance
-    feasible and every column is bounded)."""
+    feasible and every column is bounded).
+
+    ``warm``, the :attr:`OPFSolution.basis` of a dispatch of ``built`` at
+    another point, starts the solve through :func:`~.simplex.solve_lp_warm`.
+    The two LPs differ only in bounds and balance right-hand side, so that
+    basis stays dual feasible.  A basis that does not fit this LP, such as
+    one of a plan with another line count, falls back to a cold solve."""
     if d is None:
         d = net.nominal_uncertain()
     d = np.atleast_1d(np.asarray(d, dtype=float))
@@ -269,8 +278,9 @@ def solve_opf(net: Network, d: np.ndarray | None = None,
     off_t = off_f + len(lines)
 
     cost, a_eq, b_eq, lower, upper = dispatch_block(net, lines, d, [True] * len(lines))
-    sol, state = simplex.solve_lp_with_state(
-        LinearProgram(cost, a_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper))
+    lp = LinearProgram(cost, a_eq=a_eq, b_eq=b_eq, lower=lower, upper=upper)
+    sol, state = (simplex.solve_lp_with_state(lp) if warm is None
+                  else simplex.solve_lp_warm(lp, warm))
     if sol.status != "optimal":
         raise NumericalError(
             f"dispatch LP ended {sol.status}; network data violates the "

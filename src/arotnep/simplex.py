@@ -809,13 +809,14 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 
 def solve_lp_warm(lp: LinearProgram,
                   state: BasisState) -> tuple[LPSolution, BasisState | None]:
-    """Resolve ``lp`` starting from a basis of a bound-modified relative.
+    """Resolve ``lp`` starting from a basis of a relative that differs in
+    its bounds or equality right-hand side.
 
     The basis must be dual feasible for ``lp``: the optimal basis of an LP
-    with identical rows and objective whose bounds differ, or one extended
-    to added rows by :meth:`BasisState.extended` so that it stays dual
-    feasible.  The dual simplex restores primal
-    feasibility and the polish ends the solve as a cold one ends.  An LP
+    with the same matrix and objective whose bounds or ``b_eq`` differ, or
+    one extended to added rows by :meth:`BasisState.extended` so that it
+    stays dual feasible.  The dual simplex restores primal feasibility and
+    the polish ends the solve as a cold one ends.  An LP
     from :meth:`Layout.program` reuses its layout, and the factorization of
     ``state`` when the previous warm start on that layout began from the
     same ``state`` (the sibling of a branch).  Falls back to a cold solve,

@@ -173,13 +173,18 @@ def test_plan_writes_outputs_and_exits_zero(tmp_path, capsys):
 
     log = (tmp_path / "out" / "iterations.csv").read_text().splitlines()
     assert log[0] == ("nu,z_up,z_lo,gap,investment,worst_cost,built,"
-                      "master_nodes,master_root_pivots,runtime_s")
+                      "master_nodes,master_root_pivots,search_s,master_s,runtime_s")
     assert len(log) == 1 + plan["outer_iterations"]
     # The last iteration converges before it would solve a master.
-    nodes = [int(row.split(",")[-3]) for row in log[1:]]
+    nodes = [int(row.split(",")[-5]) for row in log[1:]]
     assert nodes[-1] == 0 and all(n >= 1 for n in nodes[:-1])
-    pivots = [int(row.split(",")[-2]) for row in log[1:]]
+    pivots = [int(row.split(",")[-4]) for row in log[1:]]
     assert pivots[-1] == 0
+    # Wall clock: the search and the master are parts of the iteration.
+    for k, row in enumerate(log[1:], start=1):
+        search_s, master_s, runtime_s = map(float, row.split(",")[-3:])
+        assert search_s > 0.0 and search_s + master_s <= runtime_s + 2e-6  # rounding
+        assert (master_s == 0.0) == (k == len(log) - 1)
 
 
 def readme_text_block():

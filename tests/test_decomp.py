@@ -164,12 +164,14 @@ def test_inner_multistart_beats_single_poor_start(onebus):
 
 
 def recorded_solves(monkeypatch):
-    """Every ``decomp.solve_opf`` call from here on, as ``(built, d, sol)``."""
+    """Every ``decomp.solve_opf`` call from here on, as ``(built, d, sol,
+    warm)``, ``warm`` the starting basis it was passed (``None`` for a cold
+    solve)."""
     calls = []
 
-    def recording(net, d=None, built=frozenset()):
-        sol = solve_opf(net, d=d, built=built)
-        calls.append((frozenset(built), np.array(d, dtype=float), sol))
+    def recording(net, d=None, built=frozenset(), *, warm=None):
+        sol = solve_opf(net, d=d, built=built, warm=warm)
+        calls.append((frozenset(built), np.array(d, dtype=float), sol, warm))
         return sol
 
     monkeypatch.setattr(dc, "solve_opf", recording)
@@ -187,14 +189,16 @@ def test_inner_cost_history_nondecreasing(onebus, garver_annual, monkeypatch):
         calls = recorded_solves(monkeypatch)
         res = inner_solve(net, es, built)
         # One dispatch per sweep, in sweep order.
-        hist = np.array([sol.objective for _, _, sol in calls])
+        hist = np.array([sol.objective for _, _, sol, _ in calls])
         assert hist.size == res.iterations >= 1
         assert np.all(np.diff(hist) >= -1e-9 * (1.0 + np.abs(hist[:-1])))
 
 
-@pytest.mark.parametrize("built", [frozenset(), frozenset({"C2-6a"}),
-                                   frozenset({"C3-5a", "C4-6a"}),
-                                   frozenset({"C2-6a", "C2-6b", "C4-6a"})])
+SEARCH_PLANS = [frozenset(), frozenset({"C2-6a"}), frozenset({"C3-5a", "C4-6a"}),
+                frozenset({"C2-6a", "C2-6b", "C4-6a"})]
+
+
+@pytest.mark.parametrize("built", SEARCH_PLANS)
 def test_inner_prices_each_point_once(built, monkeypatch):
     # A step back to the point just priced ends the ascent; it is not
     # dispatched again.
@@ -210,9 +214,43 @@ def test_inner_prices_each_point_once(built, monkeypatch):
         calls = recorded_solves(monkeypatch)
         res = inner_solve(net, es, built, tol=cfg.tolerance,
                           max_iter=cfg.max_inner, start=start)
-        points = [d.tobytes() for _, d, _ in calls]
+        points = [d.tobytes() for _, d, _, _ in calls]
         assert len(points) == len(set(points)) == res.iterations
         assert res.dispatch is calls[-1][2]
+
+
+@pytest.mark.parametrize("built", SEARCH_PLANS)
+def test_search_starts_share_their_priced_points(built, monkeypatch):
+    # One search dispatches no point twice. Only the first start's first
+    # dispatch is cold; each later start's first one is warm from the basis
+    # solved just before, and the ascent steps are cold. The result is the
+    # best of independent ascents from the same starts.
+    cfg = load_study_config(study_path("garver6_study"))
+    net = load_configured_network(cfg)
+    es = build_uncertainty(cfg, net)
+    starts, begins = [], []
+    ascend_alone = dc.inner_solve
+
+    def recording(*args, start=None, **kwargs):
+        starts.append(start)
+        begins.append(len(calls))
+        return ascend_alone(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(dc, "inner_solve", recording)
+    calls = recorded_solves(monkeypatch)
+    res = worst_case_cost(net, es, built, tol=cfg.tolerance, max_iter=cfg.max_inner,
+                          starts=cfg.inner_starts, seed=cfg.seed)
+    assert len(starts) == cfg.inner_starts
+    points = [d.tobytes() for _, d, _, _ in calls]
+    assert len(points) == len(set(points))
+    assert [i for i, (*_, warm) in enumerate(calls) if warm is not None] == begins[1:]
+    assert all(calls[i][3] is calls[i - 1][2].basis for i in begins[1:])
+
+    monkeypatch.undo()
+    alone = [ascend_alone(net, es, built, tol=cfg.tolerance, max_iter=cfg.max_inner,
+                          start=start) for start in starts]
+    best = max(r.worst_cost for r in alone if r.converged)
+    assert res.worst_cost == pytest.approx(best, rel=1e-12, abs=0.0)
 
 
 def test_inner_restart_from_own_output_is_fixed_point(twobus_annual):
@@ -261,7 +299,7 @@ def test_inner_rejects_sweep_cap_below_one(onebus, monkeypatch):
     calls = recorded_solves(monkeypatch)
     res = inner_solve(onebus, es, max_iter=1)
     assert not res.converged and res.iterations == 1
-    assert [sol.objective for _, _, sol in calls] == [res.worst_cost]
+    assert [sol.objective for _, _, sol, _ in calls] == [res.worst_cost]
     assert res.worst_cost == pytest.approx(
         solve_opf(onebus, d=res.worst_point).objective, rel=1e-12)
 
@@ -625,8 +663,8 @@ def test_outer_reports_the_stored_dispatch_that_sets_the_price(monkeypatch, twob
     assert plan.built == frozenset()
     assert plan.worst_cost == cost[frozenset(), "short"] == plan.z_lo == plan.z_up
     np.testing.assert_array_equal(plan.inner.worst_point, short)
-    (stored,) = [sol for built, d, sol in calls
+    (stored,) = [sol for built, d, sol, _ in calls
                  if built == frozenset() and np.array_equal(d, short)]
     assert plan.inner.dispatch is stored
-    pairs = [(built, d.tobytes()) for built, d, _ in calls]
+    pairs = [(built, d.tobytes()) for built, d, _, _ in calls]
     assert len(pairs) == len(set(pairs)) == 4

@@ -278,3 +278,61 @@ def test_piece_from_a_clipped_capacity_prices_like_solve_opf(name, built):
     want = np.array([solve_opf(net, d=x, built=built).objective
                      for x in draws[certified]])
     np.testing.assert_allclose(costs[certified], want, rtol=1e-9, atol=0.0)
+
+
+@pytest.fixture
+def cold_fallbacks(monkeypatch):
+    """Cold solves started inside ``simplex.solve_lp_warm``, which falls
+    back to one on any numerical trouble."""
+    inside_warm, fallbacks = [False], []
+    warm_solve = simplex.solve_lp_warm
+
+    def warm(lp, state):
+        inside_warm[0] = True
+        try:
+            return warm_solve(lp, state)
+        finally:
+            inside_warm[0] = False
+
+    def cold(lp):
+        fallbacks.append(inside_warm[0])
+        return solve_lp_with_state(lp)
+
+    monkeypatch.setattr(simplex, "solve_lp_warm", warm)
+    monkeypatch.setattr(simplex, "solve_lp_with_state", cold)
+    return fallbacks
+
+
+@pytest.mark.parametrize("name, built", [("onebus", frozenset()),
+                                         ("twobus", frozenset({"C1-2a"})),
+                                         ("garver6", PAPER_PLAN)])
+def test_warm_dispatch_matches_cold(name, built, cold_fallbacks):
+    # A point moves only bounds and the balance right-hand side, so the
+    # optimal basis at the nominal point starts every other point's solve.
+    net = load_dataset(name)
+    nominal = net.nominal_uncertain()
+    basis = solve_opf(net, d=nominal, built=built).basis
+    points = nominal * np.random.default_rng(13).uniform(0.0, 1.5, (12, nominal.size))
+    points[0, 0] = -1.0  # clipped to zero: the generator's bounds coincide
+    for d in points:
+        cold = solve_opf(net, d=d, built=built)
+        cold_fallbacks.clear()
+        warm = solve_opf(net, d=d, built=built, warm=basis)
+        assert cold_fallbacks == []
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-12, abs=0.0)
+        scale = 1.0 + float(np.max(np.abs(cold.eta)))
+        np.testing.assert_allclose(warm.eta, cold.eta, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_warm_dispatch_from_another_plan_solves_cold(garver, cold_fallbacks):
+    # The no-build plan's dispatch LP has fewer columns; its basis does not
+    # fit, and the solve is the cold one.
+    d = garver.nominal_uncertain()
+    basis = solve_opf(garver, d=d).basis
+    cold = solve_opf(garver, d=d, built=PAPER_PLAN)
+    cold_fallbacks.clear()
+    warm = solve_opf(garver, d=d, built=PAPER_PLAN, warm=basis)
+    assert cold_fallbacks == [True]
+    assert warm.objective == cold.objective
+    np.testing.assert_array_equal(warm.eta, cold.eta)
+    np.testing.assert_array_equal(warm.basis.basis, cold.basis.basis)

@@ -11,11 +11,14 @@ round's outputs::
 A per-solve digest covers the status, pivot count, objective, ``x``, the
 duals, the reduced costs and the basis with its statuses.  Only the
 outermost call counts: a warm start that falls back to a cold solve is one
-solve.  A change meant to move no computed bit must print the same two
-hashes on every workload; its solve counts may fall when it removes
-repeated solves, because the hash covers distinct solves only.  The BLAS
-thread count changes the bits of the master LPs, so compare runs under the
-same ``OPENBLAS_NUM_THREADS``.
+solve.  A change meant to move no computed bit must print main's
+``outputs`` hash on every workload.  Its ``solves`` hash matches main's too
+unless the change alters how a solve is reached: one that removes repeated
+solves lowers the counts only, because the hash covers distinct solves,
+but one that moves solves from cold to warm changes the counts and the
+``solves`` hash, since a warm solve takes other pivots.  The BLAS thread
+count changes the bits of the master LPs, so compare runs under the same
+``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from arotnep import milp, simplex  # noqa: E402
 
-# Fields that say how a result was reached, not what it is: the wall clock
-# of an outer iteration, and the sweep count of a worst-case search.
-_SKIP = {("OuterIteration", "runtime_s"), ("InnerResult", "iterations")}
+# Fields that say how a result was reached, not what it is: the wall-clock
+# columns of an outer iteration, and the sweep count of a worst-case search.
+_SKIP = {("OuterIteration", "search_s"), ("OuterIteration", "master_s"),
+         ("OuterIteration", "runtime_s"), ("InnerResult", "iterations")}
 
 
 def _feed(h, value) -> None:

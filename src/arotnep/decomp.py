@@ -346,10 +346,12 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
     Every dispatch price comes from one table, each visited plan's dispatch
     at each stored scenario, solved once.  A plan's price is the larger of
     its last ascent and its costliest stored scenario, whose table entry is
-    then the reported dispatch.  ``z_up`` is the cheapest price, ``z_lo``
-    the master's plan priced over the stored scenarios; a master objective
-    off ``z_lo``, or a ``z_lo`` above ``z_up``, by more than ``master_gap``
-    raises :class:`NumericalError`.
+    then the reported dispatch.  A plan that a master returns again keeps
+    its first :func:`worst_case_cost` result, which the stored scenarios
+    then check as they check a fresh one.  ``z_up`` is the cheapest price,
+    ``z_lo`` the master's plan priced over the stored scenarios; a master
+    objective off ``z_lo``, or a ``z_lo`` above ``z_up``, by more than
+    ``master_gap`` raises :class:`NumericalError`.
     """
     if max_outer < 1:
         raise ValidationError(f"max_outer must be at least 1, got {max_outer}")
@@ -362,6 +364,9 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
     z_lo = -np.inf
     table: dict[frozenset, list[OPFSolution]] = {}  # plan -> dispatch per scenario
     searched: dict[frozenset, InnerResult] = {}  # last ascent per plan
+    # worst_case_cost per plan: it is deterministic, so a plan that a master
+    # returns again is not searched again.
+    found: dict[frozenset, InnerResult] = {}
     stall_tol = 1e-6 * (1.0 + float(np.max(np.abs(es.mean))))
 
     def stored_worst(plan: frozenset) -> tuple[float, int]:
@@ -394,8 +399,10 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
     status = "iteration_limit"
     for nu in range(1, max_outer + 1):
         tick = time.perf_counter()
-        search = worst_case_cost(net, es, built, tol=inner_tol, max_iter=max_inner,
-                                 starts=inner_starts, seed=seed)
+        if built not in found:
+            found[built] = worst_case_cost(net, es, built, tol=inner_tol, max_iter=max_inner,
+                                           starts=inner_starts, seed=seed)
+        search = found[built]
         q, k = stored_worst(built)
         if q > search.worst_cost:  # the ascent missed a costlier stored point
             d = es.pull_inside(scenarios[k])

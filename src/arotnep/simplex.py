@@ -1,4 +1,4 @@
-"""Dense linear programming with a bounded-variable revised simplex method.
+"""Linear programming with a bounded-variable revised simplex method.
 
 The LP layer solves the one problem class the planner poses: minimize
 ``c @ x`` over equality rows, ``<=`` rows and bounds ``lower <= x <= upper``
@@ -16,13 +16,13 @@ its reduced costs once and then updates them from each pivot row, pricing
 afresh only after a refactorization. Cold and warm solves end alike: a
 primal polish that re-prices until the optimum is clean, then extraction.
 
-What does not depend on the bounds (the constraint matrix, its structural
-nonzeros, ``b``, the costs, the unit-column index, validation) lives in a
-:class:`Layout`. A plain LP gets one per solve; branch and bound builds one
-per call and hands every node an LP that shares it, so a node keeps only its
-bounds, values, statuses and basis. A warm start that begins from the same
-basis state as the previous warm start on its layout (the second child of
-a branch) reuses that factorization instead of inverting again.
+What does not depend on the bounds (the constraint matrix, ``b``, the
+costs, the unit-column index, validation) lives in a :class:`Layout`. A
+plain LP gets one per solve; branch and bound builds one per call and hands
+every node an LP that shares it, so a node keeps only its bounds, values,
+statuses and basis. A warm start that begins from the same basis state as
+the previous warm start on its layout (the second child of a branch) reuses
+that factorization instead of inverting again.
 
 Basic slacks and artificials are signed unit columns, so a refactorization
 inverts only the structural kernel of the basis (its structural columns on
@@ -30,8 +30,8 @@ the rows no unit column covers). Primal, dual and phase-1 pivots all go
 through one basis change, :meth:`_Simplex._pivot`: it moves the basic
 values along the entering column, puts the leaving variable on its bound
 and updates the entering masks and the inverse. Only a refactorization
-recomputes the basic values from scratch. The inverse takes one of two forms, chosen once per LP from
-its row count:
+recomputes the basic values from scratch. The inverse takes one of two
+forms, chosen once per LP from its row count:
 
 * up to ``_DENSE_MAX_ROWS`` rows (a dispatch LP has 13) a dense ``B^-1``,
   filled in block form from the kernel inverse and updated in place by a
@@ -40,9 +40,15 @@ its row count:
   273) the kernel pieces themselves plus an eta file, the product form of
   the inverse (Dantzig & Orchard-Hays, 1954): a pivot appends one eta
   column instead of an O(m^2) update, FTRAN (``B^-1 a``) and BTRAN
-  (``u B^-1``) go through the kernel and then the etas, and products with
-  the constraint matrix use its structural nonzeros and take the slack and
-  artificial columns as the unit columns they are.
+  (``u B^-1``) go through the kernel and then the etas.
+
+The form also fixes how the layout stores the constraint matrix. The dense
+form keeps all of it, structural, slack and artificial columns. The kernel
+form never builds it (on a master its size grows with the square of the
+scenario count): it keeps the structural nonzeros, in row order and by
+column, and one sign per slack and artificial column. Its products with the
+matrix, its entering columns, its kernel and phase 1's residual all read
+that store.
 
 On master MILPs the kernel form costs more below about 145 rows and less
 above about 180, which places the cutoff. An eta file drifts between
@@ -217,56 +223,76 @@ class BasisState:
 
 class Layout:
     """The bound-independent part of an LP's working state, built and
-    validated once: the constraint matrix over columns [structural | slacks |
-    artificials] (artificials as ``+e_i``), its structural nonzeros, ``b``,
-    the cost vector, the row of each unit column and the tolerances.
+    validated once: ``b``, the cost vector, the row of each slack and
+    artificial column, the tolerances and the constraint matrix over
+    columns [structural | slacks | artificials], artificials as ``+e_i``.
+
+    The matrix takes one of two forms.  A dense-form layout (up to
+    ``_DENSE_MAX_ROWS`` rows) keeps it whole as ``A``.  A kernel-form one
+    never builds it: it keeps the structural nonzeros as triplets ``nz`` in
+    row order and again by column (``col_ptr``, ``col_rows``,
+    ``col_vals``), and one sign per slack and artificial column in
+    ``unit_sign``, the only entry of a unit column.
 
     :meth:`program` hands out LPs that differ from the source only in their
     bounds and share this layout, as the nodes of a branch and bound do; a
     solve keeps only its bounds, values, statuses and basis.  Phase 1 signs
-    the artificials in ``A`` and a cold solve restores them as it ends, so
-    every solve sees the same layout."""
+    the artificials (:meth:`sign_artificials`) and a cold solve restores
+    them as it ends, so every solve sees the same layout."""
 
     def __init__(self, lp: LinearProgram):
         lp._validate_rows()
         self.source = lp
         self.n = n = lp.n_vars
-        self.m_eq = lp.b_eq.size
-        self.m = m = self.m_eq + lp.b_ub.size
+        self.m_eq = m_eq = lp.b_eq.size
+        self.m = m = m_eq + lp.b_ub.size
         self.n_slack = lp.b_ub.size
         self.n_total = n + self.n_slack + m  # artificials: one per row
-
-        A = np.zeros((m, self.n_total))
-        A[: self.m_eq, :n] = lp.a_eq
-        A[self.m_eq:, :n] = lp.a_ub
-        slack_rows = np.arange(self.m_eq, m)
-        A[slack_rows, n + slack_rows - self.m_eq] = 1.0
-        # Artificials start as +e_i, so a warm basis that keeps one basic
-        # (a redundant row) stays invertible; phase 1 flips the rows it
-        # starts below their right-hand side.
+        slack_rows = np.arange(m_eq, m)
         self.art = np.arange(n + self.n_slack, self.n_total)
-        A[np.arange(m), self.art] = 1.0
-        self.A = A
+        # Row of each slack and artificial column; -1 marks structural ones.
+        self.unit_row = np.concatenate([np.full(n, -1), slack_rows, np.arange(m)])
         self.b = np.concatenate([lp.b_eq, lp.b_ub])
         self.c = np.zeros(self.n_total)
         self.c[:n] = lp.objective
-
-        # Row of each slack and artificial column; -1 marks structural ones.
-        self.unit_row = np.concatenate([np.full(n, -1), slack_rows, np.arange(m)])
-        # Flat positions of their signs in A, read on every product because
-        # phase 1 flips artificial signs.
-        self.unit_flat = self.unit_row[n:] * self.n_total + np.arange(n, self.n_total)
         self.dense = m <= _DENSE_MAX_ROWS
-        if not self.dense:
-            # Structural nonzeros: the kernel form multiplies by A through them.
-            rows, cols = A[:, :n].nonzero()
-            self.nz = (rows, cols, A[rows, cols])
+        if self.dense:
+            A = np.zeros((m, self.n_total))
+            A[:m_eq, :n] = lp.a_eq
+            A[m_eq:, :n] = lp.a_ub
+            A[slack_rows, n + slack_rows - m_eq] = 1.0
+            # Artificials start as +e_i, so a warm basis that keeps one basic
+            # (a redundant row) stays invertible; phase 1 flips the rows it
+            # starts below their right-hand side.
+            A[np.arange(m), self.art] = 1.0
+            self.A = A
+        else:
+            # Structural nonzeros in row order, as nonzero() lists them; the
+            # kernel form multiplies by A through them.
+            r_eq, c_eq = lp.a_eq.nonzero()
+            r_ub, c_ub = lp.a_ub.nonzero()
+            rows = np.concatenate([r_eq, m_eq + r_ub])
+            cols = np.concatenate([c_eq, c_ub])
+            vals = np.concatenate([lp.a_eq[r_eq, c_eq], lp.a_ub[r_ub, c_ub]])
+            self.nz = (rows, cols, vals)
+            # The same nonzeros by column, for entering columns.
+            order = np.argsort(cols, kind="stable")
+            self.col_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+            self.col_rows, self.col_vals = rows[order], vals[order]
+            self.unit_sign = np.ones(self.n_slack + m)
         self.max_iter = 200 * (m + n) + 2000
         bscale = float(np.max(np.abs(self.b))) if m else 0.0
         self.tol_p = 1e-9 * (1.0 + bscale)
         # The last warm-start basis state and its factorization: both
         # children of a branch start from their parent's state.
         self.last_factor: tuple[BasisState, object] | None = None
+
+    def sign_artificials(self, rows: np.ndarray, signs) -> None:
+        """Set the entries of the artificial columns of ``rows``."""
+        if self.dense:
+            self.A[rows, self.art[rows]] = signs
+        else:
+            self.unit_sign[self.n_slack + rows] = signs
 
     def program(self, lower: np.ndarray, upper: np.ndarray) -> LinearProgram:
         """The source LP with bounds ``lower`` and ``upper``, solved on this
@@ -288,8 +314,8 @@ class _Simplex:
         m = lay.m
         self.n, self.m_eq, self.m = lay.n, lay.m_eq, m
         self.n_slack, self.n_total = lay.n_slack, lay.n_total
-        self.A, self.b, self.c, self.art = lay.A, lay.b, lay.c, lay.art
-        self._unit_row, self._unit_flat = lay.unit_row, lay.unit_flat
+        self.b, self.c, self.art = lay.b, lay.c, lay.art
+        self._unit_row = lay.unit_row
         self.max_iter, self.tol_p = lay.max_iter, lay.tol_p
 
         self.lower = np.concatenate([lp.lower, np.zeros(self.n_slack + m)])
@@ -299,7 +325,9 @@ class _Simplex:
         self.x = np.zeros(self.n_total)
         self.dense = lay.dense
         self.n_etas = 0
-        if not self.dense:
+        if self.dense:
+            self.A = lay.A
+        else:
             self._nz = lay.nz
             # Eta file (see _add_eta); a refactorization empties it.
             self._eta_k = np.zeros(_REFACTOR_PERIOD, dtype=np.int64)
@@ -345,13 +373,17 @@ class _Simplex:
         covered = np.zeros(self.m, dtype=bool)
         covered[rows_s] = True
         R = (~covered).nonzero()[0]
-        sign = self.A[rows_s, basis[S]]
+        cols_k = basis[K]
+        if self.dense:
+            sign, kernel = self.A[rows_s, basis[S]], self.A[R[:, None], cols_k]
+        else:
+            sign = self.layout.unit_sign[basis[S] - self.n]
+            kernel, basic_nz = self._kernel_nonzeros(R, cols_k)
         # |R| > |K| exactly when two unit columns share a row.
         if R.size != K.size or not sign.all():
             raise NumericalError("singular basis during refactorization")
-        cols_k = basis[K]
         try:
-            minv = np.linalg.inv(self.A[R[:, None], cols_k])
+            minv = np.linalg.inv(kernel)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular basis during refactorization") from exc
         if self.dense:
@@ -360,12 +392,23 @@ class _Simplex:
             binv[S[:, None], R] = (self.A[rows_s[:, None], cols_k] @ minv) / -sign[:, None]
             binv[S, rows_s] = 1.0 / sign
             return binv
-        # Nonzeros of the basic structural columns, by basis position.
+        return (K, R, S, rows_s, sign, minv, basic_nz)
+
+    def _kernel_nonzeros(self, R: np.ndarray, cols_k: np.ndarray):
+        """The kernel ``A[R, cols_k]`` and the nonzeros of the columns
+        ``cols_k`` by basis position, both gathered from the structural
+        nonzeros."""
         rows, cols, vals = self._nz
         pos = np.full(self.n, -1)
-        pos[cols_k] = np.arange(K.size)
+        pos[cols_k] = np.arange(cols_k.size)
         sel = pos[cols] >= 0
-        return (K, R, S, rows_s, sign, minv, (rows[sel], pos[cols[sel]], vals[sel]))
+        rows, pos, vals = rows[sel], pos[cols[sel]], vals[sel]
+        at_r = np.full(self.m, -1)
+        at_r[R] = np.arange(R.size)
+        in_r = at_r[rows] >= 0
+        kernel = np.zeros((R.size, cols_k.size))
+        kernel[at_r[rows[in_r]], pos[in_r]] = vals[in_r]
+        return kernel, (rows, pos, vals)
 
     def _install(self, factor) -> None:
         """Take ``factor`` from :meth:`_factorize` as the inverse; a
@@ -418,9 +461,23 @@ class _Simplex:
         e[k] = 1.0
         return self._btran(e)
 
+    def _column(self, q: int) -> np.ndarray:
+        """Column ``q`` of the constraint matrix; the kernel form fills it
+        from its structural nonzeros or its unit-column sign."""
+        if self.dense:
+            return self.A[:, q]
+        lay = self.layout
+        a = np.zeros(self.m)
+        if q < self.n:
+            at = slice(lay.col_ptr[q], lay.col_ptr[q + 1])
+            a[lay.col_rows[at]] = lay.col_vals[at]
+        else:
+            a[self._unit_row[q]] = lay.unit_sign[q - self.n]
+        return a
+
     def _unit_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and sign of each slack and artificial column."""
-        return self._unit_row[self.n:], self.A.take(self._unit_flat)
+        """Row and sign of each slack and artificial column (kernel form)."""
+        return self._unit_row[self.n:], self.layout.unit_sign
 
     def _times_a(self, v: np.ndarray) -> np.ndarray:
         """``v @ A``; the kernel form goes through the structural nonzeros
@@ -548,7 +605,7 @@ class _Simplex:
         return q, (1 if self.stat[q] == _AT_LOWER else -1)
 
     def _primal_step(self, q: int, direction: int):
-        w = self._ftran(self.A[:, q])
+        w = self._ftran(self._column(q))
         weff = direction * w
         xb = self.x[self.basis]
         lb = self.lower[self.basis]
@@ -624,13 +681,14 @@ class _Simplex:
         self.x[n:] = 0.0
         self.stat[:] = _AT_LOWER
 
-        resid = self.b - self.A[:, :n] @ self.x[:n]
+        # Slacks and artificials are at zero: this is the structural part of A x.
+        resid = self.b - (self.A[:, :n] @ self.x[:n] if self.dense else self._a_times(self.x))
         rows = np.arange(m)
         # A <= row's slack carries a surplus; every other row starts on its
         # artificial, signed to take the residual at a nonnegative value.
         slack = (rows >= self.m_eq) & (resid >= 0.0)
         art = self.art[~slack]
-        self.A[rows[~slack], art] = np.where(resid[~slack] >= 0.0, 1.0, -1.0)
+        self.layout.sign_artificials(rows[~slack], np.where(resid[~slack] >= 0.0, 1.0, -1.0))
         c1 = np.zeros(self.n_total)
         c1[art] = 1.0
         self.basis = np.where(slack, n + rows - self.m_eq, self.art)
@@ -663,7 +721,7 @@ class _Simplex:
             j = int(np.argmax(np.abs(row)))
             if abs(row[j]) <= 1e-7:
                 continue  # redundant row; artificial stays basic at zero
-            self._pivot(k, j, self._ftran(self.A[:, j]), 0.0, False)
+            self._pivot(k, j, self._ftran(self._column(j)), 0.0, False)
             if self.n_etas == _REFACTOR_PERIOD:
                 self._refactor()
 
@@ -715,7 +773,7 @@ class _Simplex:
                 sub = eligible[best]
                 q = int(sub[np.argmax(np.abs(alpha[sub]))])
 
-            w = self._ftran(self.A[:, q])
+            w = self._ftran(self._column(q))
             if self.n_etas and self._drifted(w, k, alpha[q]):
                 self._refactor()
                 self.r = r = self._reduced_costs(c)
@@ -793,8 +851,8 @@ def solve_lp_with_state(lp: LinearProgram) -> tuple[LPSolution, BasisState | Non
     try:
         return _finish(sx, STATUS_OPTIMAL if sx.phase1() else STATUS_INFEASIBLE)
     finally:
-        # Phase 1 signed the artificials in the layout's A.
-        sx.A[np.arange(sx.m), sx.art] = 1.0
+        # Phase 1 signed the artificials in the layout.
+        sx.layout.sign_artificials(np.arange(sx.m), 1.0)
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:

@@ -544,12 +544,19 @@ def test_outer_zero_radius_matches_nominal_master(garver_annual):
     assert_bounds_sound(plan)
 
 
+def plan_garver6_study():
+    """``outer_solve`` on the bundled garver6 study, with its settings."""
+    cfg = load_study_config(study_path("garver6_study"))
+    net = load_configured_network(cfg)
+    return outer_solve(net, build_uncertainty(cfg, net), tol=cfg.tolerance,
+                       max_outer=cfg.max_outer, inner_tol=cfg.tolerance,
+                       max_inner=cfg.max_inner, inner_starts=cfg.inner_starts,
+                       seed=cfg.seed, master_gap=cfg.tolerance)
+
+
 def test_outer_solves_one_master_root_cold(monkeypatch):
     # Cold solves of branch-and-bound LPs are root solves or fallbacks of
     # warm starts; after the first master every root starts warm.
-    cfg = load_study_config(study_path("garver6_study"))
-    net = load_configured_network(cfg)
-    es = build_uncertainty(cfg, net)
     cold_rows = []
     for module in (milp_module, simplex_module):
         def counted(lp, _clean=module.solve_lp_with_state):
@@ -557,14 +564,26 @@ def test_outer_solves_one_master_root_cold(monkeypatch):
                 cold_rows.append(lp.b_eq.size + lp.b_ub.size)
             return _clean(lp)
         monkeypatch.setattr(module, "solve_lp_with_state", counted)
-    plan = outer_solve(net, es, tol=cfg.tolerance, max_outer=cfg.max_outer,
-                       inner_tol=cfg.tolerance, max_inner=cfg.max_inner,
-                       inner_starts=cfg.inner_starts, seed=cfg.seed,
-                       master_gap=cfg.tolerance)
+    plan = plan_garver6_study()
     masters = [it for it in plan.iterations if it.master_nodes]
     assert len(masters) >= 2
     assert len(cold_rows) == 1
     assert all(it.master_root_pivots > 0 for it in masters)
+
+
+def test_outer_searches_each_plan_once(monkeypatch):
+    # Two garver6 masters return the same plan; the search is deterministic,
+    # so the loop keeps that plan's first search instead of running it again.
+    searched, clean = [], dc.worst_case_cost
+
+    def recording(net, es, built=frozenset(), **kwargs):
+        searched.append(built)
+        return clean(net, es, built, **kwargs)
+
+    monkeypatch.setattr(dc, "worst_case_cost", recording)
+    visited = [it.built for it in plan_garver6_study().iterations]
+    assert len(set(visited)) < len(visited)
+    assert searched == list(dict.fromkeys(visited))
 
 
 def test_outer_iteration_cap_reports_limit(twobus_annual):

@@ -145,6 +145,15 @@ def assert_same_solve(got, want):
         assert np.array_equal(state.status, ref_state.status)
 
 
+def layout_bytes(layout):
+    """Bytes of everything a layout keeps of the matrix, ``b`` and ``c``:
+    the dense ``A``, or the nonzeros and the unit-column signs that phase 1
+    flips."""
+    kept = [layout.A] if layout.dense else [*layout.nz, layout.col_ptr, layout.col_rows,
+                                            layout.col_vals, layout.unit_sign]
+    return [a.tobytes() for a in (*kept, layout.b, layout.c)]
+
+
 @pytest.mark.parametrize("shape", [(8, 6, 1), (40, 200, 5)], ids=["dense", "kernel"])
 def test_children_on_a_shared_layout_match_independent_warm_starts(shape):
     # Fork both children of one parent on a shared layout, in either order:
@@ -170,11 +179,11 @@ def test_children_on_a_shared_layout_match_independent_warm_starts(shape):
     assert all(sol.status == "optimal" and sol.iterations > 0 for sol, _ in refs)
     for order in ((0, 1), (1, 0)):
         layout = Layout(lp)
-        before = [layout.A.tobytes(), layout.b.tobytes(), layout.c.tobytes()]
+        before = layout_bytes(layout)
         assert_same_solve(solve_lp_with_state(layout.program(lp.lower, lp.upper)), ref_root)
         for i in order:
             assert_same_solve(solve_lp_warm(layout.program(*children[i]), state), refs[i])
-        assert [layout.A.tobytes(), layout.b.tobytes(), layout.c.tobytes()] == before
+        assert layout_bytes(layout) == before
 
 
 def test_layout_dies_with_its_milp(monkeypatch):

@@ -3,6 +3,7 @@ finite-difference dual checks, warm starts, and KKT residual properties."""
 
 import copy
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,7 +280,7 @@ def mixed_basis_simplex(rng, n, m_eq, m_ub, n_unit):
                        b_eq=rng.normal(size=m_eq), a_ub=rng.normal(size=(m_ub, n)),
                        b_ub=rng.normal(size=m_ub))
     sx = _Simplex(lp)
-    sx.A[np.arange(sx.m), sx.art] = rng.choice([-1.0, 1.0], size=sx.m)
+    sx.layout.sign_artificials(np.arange(sx.m), rng.choice([-1.0, 1.0], size=sx.m))
     rows = rng.permutation(sx.m)[:n_unit]
     unit = [sx.n + r - m_eq if r >= m_eq and rng.random() < 0.5 else int(sx.art[r])
             for r in rows]
@@ -300,7 +301,7 @@ assert sum(DENSE_ROWS[1:]) <= _DENSE_MAX_ROWS < sum(KERNEL_ROWS[1:])
 def inverse_residual(sx):
     """Worst entry of ``B^-1 B - I`` formed by FTRAN and by BTRAN."""
     eye = np.eye(sx.m)
-    cols = sx.A[:, sx.basis]
+    cols = np.array([sx._column(j) for j in sx.basis]).reshape(sx.m, sx.m).T
     ftran = np.array([sx._ftran(col) for col in cols.T]).reshape(sx.m, sx.m).T
     btran = np.array([sx._btran(e) for e in eye]).reshape(sx.m, sx.m)
     return max(np.max(np.abs(ftran - eye), initial=0.0),
@@ -343,7 +344,7 @@ def test_in_place_update_matches_row_deleting_update(seed):
         sx = mixed_basis_simplex(rng, *shape)
         sx._refactor()
         for q in rng.permutation(np.setdiff1d(np.arange(sx.n), sx.basis))[:4]:
-            w = sx._ftran(sx.A[:, q])
+            w = sx._ftran(sx._column(q))
             k = int(np.argmax(np.abs(w)))
             if sx.dense:
                 old = sx.binv.copy()
@@ -373,7 +374,7 @@ def test_eta_file_matches_one_eta_at_a_time(seed):
     sx._refactor()
     for _ in range(_REFACTOR_PERIOD):
         q = rng.choice(np.setdiff1d(np.arange(sx.n), sx.basis))
-        w = sx._ftran(sx.A[:, q])
+        w = sx._ftran(sx._column(q))
         k = int(np.argmax(np.abs(w)))
         sx._update_inverse(w, k)
         sx.basis[k] = q
@@ -391,7 +392,7 @@ def test_kernel_form_pivot_rejects_non_finite_values():
     sx._refactor()
     sx._derive_masks()
     q = int(np.setdiff1d(np.arange(sx.n), sx.basis)[0])
-    w = sx._ftran(sx.A[:, q])
+    w = sx._ftran(sx._column(q))
     w[1] = np.nan
     with pytest.raises(NumericalError, match="non-finite"):
         sx._pivot(int(np.argmax(np.abs(w[2:]))) + 2, q, w, 1.0, False)
@@ -631,7 +632,7 @@ def test_primal_refactors_before_a_drifted_pivot():
     sx = _Simplex(lp)
     assert sx.phase1()
     q = int(np.setdiff1d(np.arange(sx.n), sx.basis)[0])
-    w = sx._ftran(sx.A[:, q])
+    w = sx._ftran(sx._column(q))
     k = int(np.argmax(np.abs(w)))
     sx._update_inverse(w, k)
     sx.basis[k] = q
@@ -690,11 +691,12 @@ def test_kernel_form_matches_highs_cold_and_warm(seed, caplog):
 def test_unit_columns_read_the_current_signs():
     rng = np.random.default_rng(5600)
     sx = mixed_basis_simplex(rng, *KERNEL_ROWS, 3)
-    # mixed_basis_simplex flips artificial signs in A after construction,
-    # as phase 1 does.
+    # mixed_basis_simplex flips artificial signs in the layout after
+    # construction, as phase 1 does.
     rows, signs = sx._unit_columns()
     np.testing.assert_array_equal(rows, sx._unit_row[sx.n:])
-    np.testing.assert_array_equal(signs, sx.A[rows, np.arange(sx.n, sx.n_total)])
+    units = np.column_stack([sx._column(j) for j in range(sx.n, sx.n_total)])
+    np.testing.assert_array_equal(units, np.eye(sx.m)[rows].T * signs)
     assert np.any(signs[sx.art - sx.n] < 0.0)
 
 
@@ -706,7 +708,12 @@ def test_kernel_refactor_rejects_singular_kernel():
         # their span, so the basis is singular although the column is not zero.
         uncovered = np.ones(sx.m, dtype=bool)
         uncovered[sx._unit_row[sx.basis[sx.basis >= sx.n]]] = False
-        sx.A[uncovered, sx.basis[np.argmax(sx.basis < sx.n)]] = 0.0
+        j = sx.basis[np.argmax(sx.basis < sx.n)]
+        if sx.dense:
+            sx.A[uncovered, j] = 0.0
+        else:
+            nz_rows, nz_cols, nz_vals = sx.layout.nz
+            nz_vals[(nz_cols == j) & uncovered[nz_rows]] = 0.0
         with pytest.raises(NumericalError, match="singular"):
             sx._refactor()
 
@@ -727,7 +734,7 @@ def test_kernel_refactor_rejects_unsigned_artificial():
         sx = mixed_basis_simplex(rng, *rows, 0)
         # Every artificial column starts as +e_i; the guard still catches a
         # unit column that has lost the entry on its own row.
-        sx.A[0, sx.art[0]] = 0.0
+        sx.layout.sign_artificials(np.array([0]), 0.0)
         sx.basis[0] = sx.art[0]
         with pytest.raises(NumericalError, match="singular"):
             sx._refactor()
@@ -807,6 +814,25 @@ def test_pivots_and_flips_keep_the_entering_masks(shape, density, seed, monkeypa
     assert not caplog.records  # the dual simplex, not a cold fallback
     assert warm.status == "optimal" and seen["pivot"] > 0
     assert warm.objective == pytest.approx(solve_lp(lp2).objective, rel=1e-9)
+
+
+def test_kernel_form_keeps_no_dense_matrix():
+    # The constraint matrix over [structural | slacks | artificials] of this
+    # kernel-form LP would take 11.2 MB; its layout and a cold solve must
+    # stay far below that.
+    lp = sparse_box_lp(np.random.default_rng(6100), 150, 0, 800, 0.02)
+    dense_bytes = lp.b_ub.size * (lp.n_vars + 2 * lp.b_ub.size) * 8
+    assert dense_bytes >= 8 * 2**20
+    tracemalloc.start()
+    try:
+        layout = Layout(lp)
+        sol = solve_lp(layout.program(lp.lower, lp.upper))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not layout.dense and sol.status == "optimal"
+    assert peak < dense_bytes / 4
+    assert check_kkt(lp, sol) <= 1e-7
 
 
 def redundant_pair_lp(rng):

@@ -3,8 +3,8 @@
 
 Runs one round of each benchmark workload (``perfbench/workloads.py``, used
 as is) at a given seed and prints, per workload, the number of LP solves,
-a SHA-256 over the sorted distinct per-solve digests and a SHA-256 over the
-round's outputs::
+a SHA-256 over the sorted distinct per-solve digests, a SHA-256 over the
+round's outputs and the round's Python allocation peak::
 
     OPENBLAS_NUM_THREADS=1 python3 tools/solve_digest.py --seed 1
 
@@ -19,6 +19,12 @@ but one that moves solves from cold to warm changes the counts and the
 ``solves`` hash, since a warm solve takes other pivots.  The BLAS thread
 count changes the bits of the master LPs, so compare runs under the same
 ``OPENBLAS_NUM_THREADS``.
+
+The peak is ``tracemalloc``'s, taken over the round alone (set-up excluded,
+the digests' own few kilobytes included): the largest total of Python and
+NumPy allocations live at once.  Unlike the benchmark's ``peak_rss_mb`` it
+does not see the interpreter, the loaded libraries or memory the allocator
+keeps after a free, so it moves only with what the program allocates.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import dataclasses
 import hashlib
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -129,13 +136,19 @@ def digest_round(name: str, seed: int) -> str:
     with tempfile.TemporaryDirectory() as out:
         inp = work.inputs(seed, Path(out))
         st = workloads.set_up(inp)
-        with SolveRecorder() as rec:
-            rnd = work.run_round(st, inp)
+        tracemalloc.start()
+        try:
+            with SolveRecorder() as rec:
+                rnd = work.run_round(st, inp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     solves = hashlib.sha256("".join(sorted(rec.digests)).encode()).hexdigest()
     h = hashlib.sha256()
     _feed(h, rnd.outputs)
     return (f"{name}: cold {rec.counts['cold']} warm {rec.counts['warm']} "
-            f"distinct {len(rec.digests)}\n  solves  {solves}\n  outputs {h.hexdigest()}")
+            f"distinct {len(rec.digests)}\n  solves  {solves}\n  outputs {h.hexdigest()}"
+            f"\n  peak    {peak / 1e6:.2f} MB allocated (tracemalloc)")
 
 
 def main(argv=None) -> int:

@@ -206,9 +206,12 @@ def cmd_validate(config_path: str, plan_path: str) -> int:
     print(f"samples: {report.n_samples} (seed {report.seed})")
     print(f"planned quantile: {report.q_star:.6f} at radius {radius:g} "
           f"(target probability {phi(radius):.5f})")
-    print(f"empirical non-exceedance: {report.non_exceedance:.4f}")
+    print(f"empirical non-exceedance: {report.non_exceedance:.4f} "
+          f"(95% Wilson interval [{report.non_exceedance_lo:.4f}, "
+          f"{report.non_exceedance_hi:.4f}])")
     print(f"clipped samples: {report.clipped_samples}, "
-          f"failed samples: {report.failed_samples}")
+          f"failed samples: {report.failed_samples}, "
+          f"dispatch solves: {report.dispatch_solves}")
     print(f"wrote {report_path}")
     return EXIT_OK
 

@@ -15,7 +15,12 @@ reports.  Its optimal basis becomes a :class:`~arotnep.opf.DispatchPiece`,
 first moved to the bounds its reduced costs pick so that it is dual
 feasible for every draw.  The piece prices all remaining draws in one batch
 and certifies those whose basic values lie within their bounds to the
-simplex's primal tolerance; only the others go on to the next cold solve.
+simplex's primal tolerance; only the others go on to the next dispatch
+solve.  The plan fixes the dispatch LP's matrix and costs, so the last
+optimal basis is dual feasible at every draw: only the first solve is
+cold, and each later one starts warm from the basis of the last solve that
+succeeded.  The report counts those solves (``dispatch_solves``) and gives
+the non-exceedance a 95 % Wilson score interval.
 
 Reports are written as CSV: a summary block followed by one row per
 histogram bin (see :func:`emit_report` for the row layout).
@@ -26,6 +31,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -35,6 +41,10 @@ from .network import Network
 from .opf import clip_uncertain, dispatch_piece, solve_opf
 
 SUMMARY_QUANTILES = (0.05, 0.25, 0.5, 0.75, 0.95)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -47,6 +57,12 @@ class SimulationStudy:
     radius: float
 
     def __post_init__(self):
+        if not _is_int(self.n_samples):
+            raise ValidationError(
+                f"n_samples must be an integer, got {self.n_samples!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValidationError(
+                f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.n_samples < 1:
             raise ValidationError(
                 f"n_samples must be at least 1, got {self.n_samples}")
@@ -66,6 +82,8 @@ class SimulationReport:
     q_star: float
     radius: float
     non_exceedance: float
+    non_exceedance_lo: float
+    non_exceedance_hi: float
     costs: np.ndarray
     mean: float
     std: float
@@ -74,6 +92,7 @@ class SimulationReport:
     bin_counts: np.ndarray
     clipped_samples: int
     failed_samples: int
+    dispatch_solves: int
     built: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -81,6 +100,20 @@ def sample_scenarios(es: EllipsoidalSet, n_samples: int, seed: int) -> np.ndarra
     """``n_samples`` Gaussian draws (one per row) with the set's mean and
     covariance; identical seeds give identical draws."""
     return es.sample(np.random.default_rng(seed), n_samples)
+
+
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """95 % Wilson score interval for a proportion of ``k`` successes in
+    ``n`` trials.  The ends are exactly 0 at ``k = 0`` and exactly 1 at
+    ``k = n``, where the formula's two terms cancel only to rounding."""
+    z = NormalDist().inv_cdf(0.975)
+    p = k / n
+    shrink = 1.0 + z * z / n
+    centre = (p + z * z / (2 * n)) / shrink
+    half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n)) / shrink
+    lo = 0.0 if k == 0 else centre - half
+    hi = 1.0 if k == n else centre + half
+    return lo, hi
 
 
 def _histogram(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +144,8 @@ def run_simulation(net: Network, built, es: EllipsoidalSet,
 
     Samples whose dispatch fails are counted and excluded from the cost
     statistics; shedding keeps dispatch feasible, so failures indicate a
-    numerical problem rather than an expensive scenario.
+    numerical problem rather than an expensive scenario.  A failed solve
+    leaves the basis that the next one starts from as it was.
     """
     if es.dim != net.n_uncertain:
         raise ValidationError("uncertainty set dimension does not match network")
@@ -120,15 +154,18 @@ def run_simulation(net: Network, built, es: EllipsoidalSet,
     clipped_draws, _ = clip_uncertain(draws)
 
     costs = np.full(study.n_samples, np.nan)
-    failed = 0
+    failed = solves = 0
+    warm = None
     pending = np.arange(study.n_samples)
     while pending.size:
         i, pending = pending[0], pending[1:]
+        solves += 1
         try:
-            sol = solve_opf(net, d=draws[i], built=built)
+            sol = solve_opf(net, d=draws[i], built=built, warm=warm)
         except ArotnepError:
             failed += 1
             continue
+        warm = sol.basis
         costs[i] = sol.objective
         priced, certified = dispatch_piece(net, built, sol.basis).price(
             clipped_draws[pending])
@@ -139,22 +176,27 @@ def run_simulation(net: Network, built, es: EllipsoidalSet,
     ok = costs[np.isfinite(costs)]
     if ok.size == 0:
         raise ValidationError("every sampled scenario failed to price")
-    non_exceedance = float(np.sum(ok <= study.q_star)) / study.n_samples
+    below = int(np.sum(ok <= study.q_star))
+    lo, hi = wilson_interval(below, study.n_samples)
     edges, counts = _histogram(ok)
     quantiles = {q: float(np.quantile(ok, q)) for q in SUMMARY_QUANTILES}
     return SimulationReport(
         n_samples=study.n_samples, seed=study.seed, q_star=study.q_star,
-        radius=study.radius, non_exceedance=non_exceedance, costs=costs,
+        radius=study.radius, non_exceedance=below / study.n_samples,
+        non_exceedance_lo=lo, non_exceedance_hi=hi, costs=costs,
         mean=float(np.mean(ok)), std=float(np.std(ok)), quantiles=quantiles,
         bin_edges=edges, bin_counts=counts, clipped_samples=clipped,
-        failed_samples=failed, built=tuple(sorted(built)))
+        failed_samples=failed, dispatch_solves=solves,
+        built=tuple(sorted(built)))
 
 
 # ---------------------------------------------------------------------------
 # report output
 
-_SUMMARY_FLOAT_KEYS = ("q_star", "radius", "non_exceedance", "mean", "std")
-_SUMMARY_INT_KEYS = ("n_samples", "seed", "clipped_samples", "failed_samples")
+_SUMMARY_FLOAT_KEYS = ("q_star", "radius", "non_exceedance", "non_exceedance_lo",
+                       "non_exceedance_hi", "mean", "std")
+_SUMMARY_INT_KEYS = ("n_samples", "seed", "clipped_samples", "failed_samples",
+                     "dispatch_solves")
 
 
 def emit_report(report: SimulationReport, path) -> None:

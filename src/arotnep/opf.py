@@ -26,7 +26,8 @@ every realization whose basic values stay within bounds:
 Monte Carlo validation uses to price its draws in batches.  For the same
 reason an optimal basis at one realization is dual feasible at any other,
 and :func:`solve_opf` can start from it (``warm``): the worst-case search
-starts each later ascent that way.
+starts each later ascent that way, and Monte Carlo validation every
+dispatch solve after its first.
 """
 
 from __future__ import annotations

@@ -335,6 +335,10 @@ def test_plan_then_validate_calibrates(tmp_path, monkeypatch, capsys):
     summary = {r[1]: r[2] for r in rows if r[0] == "summary"}
     prob = float(summary["non_exceedance"])
     assert 0.87 <= prob <= 0.93
+    lo, hi = float(summary["non_exceedance_lo"]), float(summary["non_exceedance_hi"])
+    assert lo < prob < hi
+    assert f"(95% Wilson interval [{lo:.4f}, {hi:.4f}])" in out
+    assert f"dispatch solves: {summary['dispatch_solves']}" in out
     assert int(summary["n_samples"]) == 1000
     assert sum(int(r[3]) for r in rows if r[0] == "bin") == 1000
 

@@ -1,8 +1,9 @@
 """Tests for Monte Carlo plan pricing.
 
 Oracles: sample moments against the requested covariance, closed-form
-dispatch costs on the single-bus network, and the Gaussian band around the
-planned quantile's non-exceedance probability.
+dispatch costs on the single-bus network, the Gaussian band around the
+planned quantile's non-exceedance probability, and the Wilson score
+interval at fixed counts.
 """
 
 import csv
@@ -23,6 +24,7 @@ from arotnep.montecarlo import (
     emit_report,
     run_simulation,
     sample_scenarios,
+    wilson_interval,
 )
 from arotnep.opf import solve_opf
 
@@ -75,6 +77,19 @@ def test_sample_count_must_be_positive(onebus):
         sample_scenarios(unbounded_onebus_set(onebus, 1.0), 0, seed=0)
     with pytest.raises(ValidationError):
         SimulationStudy(n_samples=0, seed=0, q_star=1.0, radius=1.0)
+
+
+@pytest.mark.parametrize("n_samples, seed", [
+    (10, -1), (10, 1.5), (10, True), (10, "3"), (10.5, 0), (True, 0)])
+def test_study_rejects_non_integer_or_negative_seed_and_count(n_samples, seed):
+    with pytest.raises(ValidationError):
+        SimulationStudy(n_samples=n_samples, seed=seed, q_star=1.0, radius=1.0)
+
+
+def test_study_accepts_numpy_integers():
+    study = SimulationStudy(n_samples=np.int64(10), seed=np.int32(3),
+                            q_star=1.0, radius=1.0)
+    assert study.seed == 3
 
 
 # ---------------------------------------------------------------------------
@@ -200,26 +215,98 @@ def test_batch_pricing_matches_one_dispatch_lp_per_draw(garver_study, plan, spre
         assert report.clipped_samples > 0
 
 
-def test_failed_cold_solve_counts_once(garver_study, monkeypatch):
-    net, es = garver_study
-    built = garver_plans(net)[0]
+def record_solves(monkeypatch, fail_at=None):
+    """Wrap ``montecarlo.solve_opf``, recording each call's ``warm`` and
+    result (``None`` when it raised); call ``fail_at`` (1-based) raises."""
     real = montecarlo.solve_opf
     calls = []
 
-    def first_fails(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 1:
+    def recording(*args, warm=None, **kwargs):
+        calls.append([warm, None])
+        if len(calls) == fail_at:
             raise NumericalError("injected")
-        return real(*args, **kwargs)
+        sol = real(*args, warm=warm, **kwargs)
+        calls[-1][1] = sol
+        return sol
 
-    monkeypatch.setattr(montecarlo, "solve_opf", first_fails)
+    monkeypatch.setattr(montecarlo, "solve_opf", recording)
+    return calls
+
+
+def test_failed_cold_solve_counts_once(garver_study, monkeypatch):
+    net, es = garver_study
+    built = garver_plans(net)[0]
+    calls = record_solves(monkeypatch, fail_at=1)
     study = SimulationStudy(n_samples=100, seed=3, q_star=1e9, radius=1.0)
     report = run_simulation(net, built, es, study)
+    # No solve has succeeded yet, so the next one is cold too.
+    assert calls[1][0] is None
     assert report.failed_samples == 1
     assert np.isnan(report.costs[0])
     assert np.all(np.isfinite(report.costs[1:]))
     assert int(np.sum(report.bin_counts)) == 99
     assert report.non_exceedance == 0.99
+
+
+def test_only_the_first_dispatch_solve_is_cold(garver_study, monkeypatch):
+    net, es = garver_study
+    calls = record_solves(monkeypatch)
+    study = SimulationStudy(n_samples=1000, seed=3, q_star=1e9, radius=1.0)
+    report = run_simulation(net, garver_plans(net)[0], es, study)
+    assert len(calls) >= 3
+    assert [warm is None for warm, _ in calls] == [True] + [False] * (len(calls) - 1)
+    # Each solve starts from the basis of the one before it.
+    for (_, before), (warm, _) in zip(calls, calls[1:]):
+        assert warm is before.basis
+    assert report.dispatch_solves == len(calls)
+    assert report.failed_samples == 0
+
+
+def test_failed_warm_solve_keeps_the_last_basis(garver_study, monkeypatch):
+    net, es = garver_study
+    calls = record_solves(monkeypatch, fail_at=2)
+    study = SimulationStudy(n_samples=1000, seed=3, q_star=1e9, radius=1.0)
+    report = run_simulation(net, garver_plans(net)[0], es, study)
+    assert len(calls) >= 3
+    assert report.failed_samples == 1
+    assert calls[1][1] is None
+    assert calls[2][0] is calls[0][1].basis
+    assert int(np.sum(np.isnan(report.costs))) == 1
+    assert report.dispatch_solves == len(calls)
+    assert int(np.sum(report.bin_counts)) == 999
+
+
+# ---------------------------------------------------------------------------
+# Wilson interval
+
+
+def test_wilson_interval_known_values():
+    lo, hi = wilson_interval(975, 1000)
+    assert lo == pytest.approx(0.9633547107321566, abs=1e-12)
+    assert hi == pytest.approx(0.9830098687065659, abs=1e-12)
+
+
+def test_wilson_interval_exact_at_the_ends():
+    lo, hi = wilson_interval(0, 10)
+    assert lo == 0.0
+    assert 0.0 < hi < 1.0
+    lo, hi = wilson_interval(10, 10)
+    assert hi == 1.0
+    assert 0.0 < lo < 1.0
+    # k and n - k successes give mirrored intervals.
+    for k in range(11):
+        lo, hi = wilson_interval(k, 10)
+        mirror_lo, mirror_hi = wilson_interval(10 - k, 10)
+        assert lo == pytest.approx(1.0 - mirror_hi, abs=1e-15)
+        assert hi == pytest.approx(1.0 - mirror_lo, abs=1e-15)
+
+
+def test_report_interval_brackets_non_exceedance(onebus):
+    report = sample_report(onebus)
+    assert report.non_exceedance_lo < report.non_exceedance < report.non_exceedance_hi
+    below = round(report.non_exceedance * report.n_samples)
+    assert (report.non_exceedance_lo, report.non_exceedance_hi) == wilson_interval(
+        below, report.n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -276,3 +363,6 @@ def test_csv_round_trip(onebus, tmp_path):
     assert float(summary["q_star"]) == report.q_star
     assert float(summary["mean"]) == report.mean
     assert int(summary["clipped_samples"]) == report.clipped_samples
+    assert int(summary["dispatch_solves"]) == report.dispatch_solves
+    assert float(summary["non_exceedance_lo"]) == report.non_exceedance_lo
+    assert float(summary["non_exceedance_hi"]) == report.non_exceedance_hi

@@ -234,37 +234,28 @@ def _parse_betas(text: str) -> list[float]:
     return betas
 
 
-def cmd_sweep(config_path: str, betas_text: str, repeats: int) -> int:
+def cmd_sweep(config_path: str, betas_text: str) -> int:
     cfg = load_study_config(config_path)
     betas = _parse_betas(betas_text)
-    if repeats < 1:
-        raise ValidationError("--repeats must be at least 1")
     _checked_network_path(cfg)
 
     rows = []
     worst_exit = EXIT_OK
     for beta in betas:
-        runtimes = []
-        plan = None
-        error = ""
+        tick = time.perf_counter()
         try:
-            for _ in range(repeats):
-                tick = time.perf_counter()
-                _, plan = _run_study(cfg, beta)
-                runtimes.append(time.perf_counter() - tick)
+            _, plan = _run_study(cfg, beta)
         except ArotnepError as exc:
-            plan, error = None, str(exc)
-        if plan is None:
-            rows.append({"beta": repr(beta), "status": "error", "error": error})
+            rows.append({"beta": repr(beta), "status": "error", "error": str(exc)})
             worst_exit = max(worst_exit, EXIT_CONFIG)
-            print(f"beta {beta:g}: error: {error}")
+            print(f"beta {beta:g}: error: {exc}")
             continue
+        runtime = time.perf_counter() - tick
         rows.append({
             "beta": repr(beta), "status": plan.status, "objective": repr(plan.objective),
             "investment": repr(plan.investment), "worst_cost": repr(plan.worst_cost),
             "outer_iterations": len(plan.iterations),
-            "runtime_mean_s": f"{np.mean(runtimes):.6f}",
-            "runtime_std_s": f"{np.std(runtimes):.6f}",
+            "runtime_s": f"{runtime:.6f}",
         })
         worst_exit = max(worst_exit, _STATUS_EXIT[plan.status])
         print(f"beta {beta:g}: {plan.status}, objective {plan.objective:.6f}, "
@@ -274,7 +265,7 @@ def cmd_sweep(config_path: str, betas_text: str, repeats: int) -> int:
     out = _output_dir(cfg)
     sweep_path = out / "sweep.csv"
     fields = ["beta", "status", "objective", "investment", "worst_cost",
-              "outer_iterations", "runtime_mean_s", "runtime_std_s", "error"]
+              "outer_iterations", "runtime_s", "error"]
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fields, restval="")
         writer.writeheader()
@@ -309,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="study file (JSON)")
     p.add_argument("--betas", required=True,
                    help="comma-separated list of radii, e.g. 0,1.28155,2.3263")
-    p.add_argument("--repeats", type=int, default=1,
-                   help="timing repetitions per radius (default 1)")
     return parser
 
 
@@ -321,7 +310,7 @@ def main(argv=None) -> int:
             return cmd_plan(args.config)
         if args.command == "validate":
             return cmd_validate(args.config, args.plan)
-        return cmd_sweep(args.config, args.betas, args.repeats)
+        return cmd_sweep(args.config, args.betas)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO if isinstance(exc.__cause__, OSError) else EXIT_CONFIG

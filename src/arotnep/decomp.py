@@ -46,7 +46,7 @@ import numpy as np
 
 from .ellipsoid import EllipsoidalSet
 from .errors import IterationLimit, NumericalError, ValidationError
-from .milp import MILPProblem, solve_milp
+from .milp import solve_milp
 from .network import LINE_EXISTING, Network
 from .opf import (OPFSolution, clip_uncertain, dispatch_block, solve_opf,
                   switching_rows)
@@ -69,12 +69,14 @@ def inner_solve(net: Network, es: EllipsoidalSet, built=frozenset(), *,
                 tol: float = 1e-6, max_iter: int = 100,
                 start: np.ndarray | None = None,
                 priced: dict[bytes, OPFSolution] | None = None) -> InnerResult:
-    """Block-coordinate ascent from one starting point.  It stops on a step or
-    cost change within ``tol``, a zero gradient, or a step back to its point.
+    """Block-coordinate ascent from one starting point, pulled inside the
+    set.  It stops on a step or cost change within ``tol``, a zero gradient,
+    or a step back to its point.
 
     ``priced`` maps the bytes of each point already dispatched under
     ``built`` to its dispatch, in solve order; the ascent reads and extends
-    it, and solves its first dispatch warm from the last one it holds."""
+    it, and solves its first dispatch warm from the last one it holds.  Its
+    steps are dispatched cold."""
     if es.dim != net.n_uncertain:
         raise ValidationError("uncertainty set dimension does not match network")
     if max_iter < 1:
@@ -85,27 +87,6 @@ def inner_solve(net: Network, es: EllipsoidalSet, built=frozenset(), *,
     d = es.pull_inside(start)
     priced = {} if priced is None else priced
     sol = _dispatch(net, built, d, priced, warm=True)
-    return _ascend(net, es, built, d, sol, tol, max_iter, priced)
-
-
-def _dispatch(net: Network, built, d: np.ndarray, priced: dict[bytes, OPFSolution],
-              warm: bool = False) -> OPFSolution:
-    """``built``'s dispatch at ``d`` from ``priced``, solved and stored when
-    missing; a ``warm`` solve starts from the last basis stored."""
-    key = d.tobytes()
-    sol = priced.get(key)
-    if sol is None:
-        last = next(reversed(priced.values()), None) if warm else None
-        sol = priced[key] = solve_opf(net, d=d, built=built,
-                                      warm=None if last is None else last.basis)
-    return sol
-
-
-def _ascend(net: Network, es: EllipsoidalSet, built, d: np.ndarray,
-            sol: OPFSolution, tol: float, max_iter: int,
-            priced: dict[bytes, OPFSolution]) -> InnerResult:
-    """The ascent of :func:`inner_solve` from ``d``, whose dispatch is
-    ``sol``, its steps dispatched cold through ``priced``."""
     scale = 1.0 + float(np.max(np.abs(es.mean)))
     for it in range(1, max_iter + 1):
         move = es.bounded_step(sol.eta)
@@ -121,6 +102,19 @@ def _ascend(net: Network, es: EllipsoidalSet, built, d: np.ndarray,
         if small:
             return InnerResult(sol.objective, d, sol, it + 1, True)
     return InnerResult(sol.objective, d, sol, max_iter, False)
+
+
+def _dispatch(net: Network, built, d: np.ndarray, priced: dict[bytes, OPFSolution],
+              warm: bool = False) -> OPFSolution:
+    """``built``'s dispatch at ``d`` from ``priced``, solved and stored when
+    missing; a ``warm`` solve starts from the last basis stored."""
+    key = d.tobytes()
+    sol = priced.get(key)
+    if sol is None:
+        last = next(reversed(priced.values()), None) if warm else None
+        sol = priced[key] = solve_opf(net, d=d, built=built,
+                                      warm=None if last is None else last.basis)
+    return sol
 
 
 def worst_case_cost(net: Network, es: EllipsoidalSet, built=frozenset(), *,
@@ -276,8 +270,7 @@ def solve_master(net: Network, scenarios, *, gap_tol: float = 1e-6,
             ub_at=(n_scen - 1) * m_ub_block)
     lp = LinearProgram(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
                        lower=lower, upper=upper)
-    milp = solve_milp(MILPProblem(lp, np.arange(n_cand)), gap_tol=gap_tol,
-                      root_state=root_state)
+    milp = solve_milp(lp, np.arange(n_cand), gap_tol=gap_tol, root_state=root_state)
     if milp.status != "optimal":
         raise NumericalError(
             "investment master reported infeasible although the no-build "
@@ -344,14 +337,17 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
     master scenario, and re-plan (lower bound).
 
     Every dispatch price comes from one table, each visited plan's dispatch
-    at each stored scenario, solved once.  A plan's price is the larger of
-    its last ascent and its costliest stored scenario, whose table entry is
-    then the reported dispatch.  A plan that a master returns again keeps
-    its first :func:`worst_case_cost` result, which the stored scenarios
-    then check as they check a fresh one.  ``z_up`` is the cheapest price,
-    ``z_lo`` the master's plan priced over the stored scenarios; a master
-    objective off ``z_lo``, or a ``z_lo`` above ``z_up``, by more than
-    ``master_gap`` raises :class:`NumericalError`.
+    at each stored scenario, solved once.  When a plan's search misses a
+    costlier stored scenario, :func:`inner_solve` ascends again from that
+    scenario, with its table dispatch as the one priced point.  A plan's
+    price is the larger of its last ascent and its costliest stored
+    scenario, whose table entry is then the reported dispatch.  A plan that
+    a master returns again keeps its first :func:`worst_case_cost` result,
+    which the stored scenarios then check as they check a fresh one.
+    ``z_up`` is the cheapest price, ``z_lo`` the master's plan priced over
+    the stored scenarios; a master objective off ``z_lo``, or a ``z_lo``
+    above ``z_up``, by more than ``master_gap`` raises
+    :class:`NumericalError`.
     """
     if max_outer < 1:
         raise ValidationError(f"max_outer must be at least 1, got {max_outer}")
@@ -405,11 +401,9 @@ def outer_solve(net: Network, es: EllipsoidalSet, *, tol: float = 1e-6,
         search = found[built]
         q, k = stored_worst(built)
         if q > search.worst_cost:  # the ascent missed a costlier stored point
-            d = es.pull_inside(scenarios[k])
-            sol = (table[built][k] if np.array_equal(d, scenarios[k])
-                   else solve_opf(net, d=d, built=built))
-            search = _ascend(net, es, built, d, sol, inner_tol, max_inner,
-                             {d.tobytes(): sol})
+            search = inner_solve(net, es, built, tol=inner_tol, max_iter=max_inner,
+                                 start=scenarios[k],
+                                 priced={scenarios[k].tobytes(): table[built][k]})
         search_s = time.perf_counter() - tick
         searched[built] = search
         worst = price(built)

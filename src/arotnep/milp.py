@@ -41,27 +41,6 @@ _INT_TOL = 1e-6
 
 
 @dataclass
-class MILPProblem:
-    """LP relaxation plus the indices of variables restricted to {0, 1}."""
-
-    lp: LinearProgram
-    binary: np.ndarray
-
-    def __post_init__(self):
-        self.binary = np.atleast_1d(np.asarray(self.binary, dtype=np.int64))
-
-    def validate(self) -> None:
-        """Check the bounds and the binary indices; the :class:`Layout`
-        that :func:`solve_milp` builds checks the rows."""
-        self.lp._validate_bounds()
-        n = self.lp.n_vars
-        if self.binary.size and (self.binary.min() < 0 or self.binary.max() >= n):
-            raise ValidationError("binary index out of range")
-        if np.unique(self.binary).size != self.binary.size:
-            raise ValidationError("duplicate binary index")
-
-
-@dataclass
 class MILPSolution:
     status: str
     x: np.ndarray | None = None
@@ -92,10 +71,11 @@ def _fractional(x: np.ndarray, binary: np.ndarray) -> int | None:
     return int(binary[ties[0]])
 
 
-def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
+def solve_milp(lp: LinearProgram, binary, *, gap_tol: float = 1e-6,
                node_limit: int = 100_000,
                root_state: BasisState | None = None) -> MILPSolution:
-    """Branch and bound over the binary variables of ``problem``.
+    """Branch and bound over the variables of ``lp`` restricted to {0, 1},
+    whose indices are ``binary``.
 
     The answer is the incumbent node's LP solution as found: its binaries
     are integral to within ``_INT_TOL`` (1e-6), so callers round them.
@@ -104,13 +84,19 @@ def solve_milp(problem: MILPProblem, gap_tol: float = 1e-6,
     cold solve like any warm start); without it the root is solved cold.
     An optimal answer carries the root's pivot count and optimal state.
     Raises :class:`IterationLimit` when ``node_limit`` LP nodes were
-    solved without proving optimality.
+    solved without proving optimality, and :class:`ValidationError` for
+    malformed rows or bounds and for a binary index out of range or
+    repeated.
     """
-    lp = problem.lp
-    binary = problem.binary
+    binary = np.atleast_1d(np.asarray(binary, dtype=np.int64))
     # Every node LP shares one layout; it dies when this call returns.
     layout = Layout(lp)
-    problem.validate()  # before the binaries' bounds are clipped
+    # Checked before the binaries' bounds are clipped.
+    lp._validate_bounds()
+    if binary.size and (binary.min() < 0 or binary.max() >= lp.n_vars):
+        raise ValidationError("binary index out of range")
+    if np.unique(binary).size != binary.size:
+        raise ValidationError("duplicate binary index")
 
     lower = lp.lower.copy()
     upper = lp.upper.copy()

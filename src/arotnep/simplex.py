@@ -16,13 +16,14 @@ its reduced costs once and then updates them from each pivot row, pricing
 afresh only after a refactorization. Cold and warm solves end alike: a
 primal polish that re-prices until the optimum is clean, then extraction.
 
-What does not depend on the bounds (the constraint matrix, ``b``, the
-costs, the unit-column index, validation) lives in a :class:`Layout`. A
-plain LP gets one per solve; branch and bound builds one per call and hands
-every node an LP that shares it, so a node keeps only its bounds, values,
-statuses and basis. A warm start that begins from the same basis state as
-the previous warm start on its layout (the second child of a branch) reuses
-that factorization instead of inverting again.
+What does not depend on the bounds (the structural columns, ``b``, the
+costs, the row of each unit column, validation) lives in a :class:`Layout`.
+A plain LP gets one per solve; branch and bound builds one per call and
+hands every node an LP that shares it, so a node keeps only its bounds,
+values, statuses, basis and unit-column signs. A warm start that begins
+from the same basis state as the previous warm start on its layout (the
+second child of a branch) reuses that factorization instead of inverting
+again.
 
 Basic slacks and artificials are signed unit columns, so a refactorization
 inverts only the structural kernel of the basis (its structural columns on
@@ -42,13 +43,16 @@ forms, chosen once per LP from its row count:
   column instead of an O(m^2) update, FTRAN (``B^-1 a``) and BTRAN
   (``u B^-1``) go through the kernel and then the etas.
 
-The form also fixes how the layout stores the constraint matrix. The dense
-form keeps all of it, structural, slack and artificial columns. The kernel
-form never builds it (on a master its size grows with the square of the
-scenario count): it keeps the structural nonzeros, in row order and by
-column, and one sign per slack and artificial column. Its products with the
-matrix, its entering columns, its kernel and phase 1's residual all read
-that store.
+Neither form stores a slack or artificial column: each is its row
+(``unit_row``) and a sign that the solve owns, +1 until phase 1 flips the
+artificials of the rows it starts below their right-hand side. The form
+fixes how the layout stores the structural columns. The dense form keeps
+them as one matrix, padded with zero columns to a width that is a multiple
+of four (see :class:`Layout`). The kernel form never builds it (on a master its size
+grows with the square of the scenario count): it keeps the structural
+nonzeros, in row order and by column. Products with the matrix, entering
+columns, the kernel and phase 1's residual read the structural store and
+the unit columns' rows and signs.
 
 On master MILPs the kernel form costs more below about 145 rows and less
 above about 180, which places the cutoff. An eta file drifts between
@@ -224,21 +228,22 @@ class BasisState:
 class Layout:
     """The bound-independent part of an LP's working state, built and
     validated once: ``b``, the cost vector, the row of each slack and
-    artificial column, the tolerances and the constraint matrix over
-    columns [structural | slacks | artificials], artificials as ``+e_i``.
+    artificial column, the tolerances and the structural columns of the
+    constraint matrix.  Columns are ordered [structural | slacks |
+    artificials]; a slack or artificial column is its row in ``unit_row``
+    and a sign that each solve keeps for itself.
 
-    The matrix takes one of two forms.  A dense-form layout (up to
-    ``_DENSE_MAX_ROWS`` rows) keeps it whole as ``A``.  A kernel-form one
-    never builds it: it keeps the structural nonzeros as triplets ``nz`` in
-    row order and again by column (``col_ptr``, ``col_rows``,
-    ``col_vals``), and one sign per slack and artificial column in
-    ``unit_sign``, the only entry of a unit column.
+    The structural columns take one of two forms.  A dense-form layout (up
+    to ``_DENSE_MAX_ROWS`` rows) keeps them whole as ``A``.  A kernel-form
+    one never builds it: it keeps the structural nonzeros as triplets
+    ``nz`` in row order and again by column (``col_ptr``, ``col_rows``,
+    ``col_vals``).
 
     :meth:`program` hands out LPs that differ from the source only in their
     bounds and share this layout, as the nodes of a branch and bound do; a
-    solve keeps only its bounds, values, statuses and basis.  Phase 1 signs
-    the artificials (:meth:`sign_artificials`) and a cold solve restores
-    them as it ends, so every solve sees the same layout."""
+    solve keeps its bounds, values, statuses, basis and unit-column signs,
+    and leaves on the layout only its warm-start factorization
+    (``last_factor``)."""
 
     def __init__(self, lp: LinearProgram):
         lp._validate_rows()
@@ -257,15 +262,13 @@ class Layout:
         self.c[:n] = lp.objective
         self.dense = m <= _DENSE_MAX_ROWS
         if self.dense:
-            A = np.zeros((m, self.n_total))
-            A[:m_eq, :n] = lp.a_eq
-            A[m_eq:, :n] = lp.a_ub
-            A[slack_rows, n + slack_rows - m_eq] = 1.0
-            # Artificials start as +e_i, so a warm basis that keeps one basic
-            # (a redundant row) stays invertible; phase 1 flips the rows it
-            # starts below their right-hand side.
-            A[np.arange(m), self.art] = 1.0
-            self.A = A
+            # Zero columns pad the width to a multiple of four.  OpenBLAS
+            # forms ``v @ A`` four columns at a time and the last ``n % 4``
+            # in a scalar loop that rounds otherwise; padded, every
+            # structural reduced cost is rounded alike, so columns with
+            # equal data price equal and tie-break by index.
+            self.A = np.zeros((m, -(-n // 4) * 4))
+            self.A[:, :n] = np.vstack([lp.a_eq, lp.a_ub])
         else:
             # Structural nonzeros in row order, as nonzero() lists them; the
             # kernel form multiplies by A through them.
@@ -279,20 +282,12 @@ class Layout:
             order = np.argsort(cols, kind="stable")
             self.col_ptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
             self.col_rows, self.col_vals = rows[order], vals[order]
-            self.unit_sign = np.ones(self.n_slack + m)
         self.max_iter = 200 * (m + n) + 2000
         bscale = float(np.max(np.abs(self.b))) if m else 0.0
         self.tol_p = 1e-9 * (1.0 + bscale)
         # The last warm-start basis state and its factorization: both
         # children of a branch start from their parent's state.
         self.last_factor: tuple[BasisState, object] | None = None
-
-    def sign_artificials(self, rows: np.ndarray, signs) -> None:
-        """Set the entries of the artificial columns of ``rows``."""
-        if self.dense:
-            self.A[rows, self.art[rows]] = signs
-        else:
-            self.unit_sign[self.n_slack + rows] = signs
 
     def program(self, lower: np.ndarray, upper: np.ndarray) -> LinearProgram:
         """The source LP with bounds ``lower`` and ``upper``, solved on this
@@ -323,6 +318,11 @@ class _Simplex:
         self.basis = np.zeros(m, dtype=np.int64)
         self.stat = np.full(self.n_total, _AT_LOWER, dtype=np.int8)
         self.x = np.zeros(self.n_total)
+        # The only entry of each slack and artificial column.  Artificials
+        # start as +e_i, so a warm basis that keeps one basic (a redundant
+        # row) stays invertible; phase 1 flips the rows it starts below
+        # their right-hand side.
+        self.unit_sign = np.ones(self.n_slack + m)
         self.dense = lay.dense
         self.n_etas = 0
         if self.dense:
@@ -374,10 +374,10 @@ class _Simplex:
         covered[rows_s] = True
         R = (~covered).nonzero()[0]
         cols_k = basis[K]
+        sign = self.unit_sign[basis[S] - self.n]
         if self.dense:
-            sign, kernel = self.A[rows_s, basis[S]], self.A[R[:, None], cols_k]
+            kernel = self.A[R[:, None], cols_k]
         else:
-            sign = self.layout.unit_sign[basis[S] - self.n]
             kernel, basic_nz = self._kernel_nonzeros(R, cols_k)
         # |R| > |K| exactly when two unit columns share a row.
         if R.size != K.size or not sign.all():
@@ -462,41 +462,38 @@ class _Simplex:
         return self._btran(e)
 
     def _column(self, q: int) -> np.ndarray:
-        """Column ``q`` of the constraint matrix; the kernel form fills it
-        from its structural nonzeros or its unit-column sign."""
-        if self.dense:
+        """Column ``q`` of the constraint matrix: a structural one from the
+        layout, a slack or artificial one from its row and sign."""
+        if q < self.n and self.dense:
             return self.A[:, q]
-        lay = self.layout
         a = np.zeros(self.m)
         if q < self.n:
+            lay = self.layout
             at = slice(lay.col_ptr[q], lay.col_ptr[q + 1])
             a[lay.col_rows[at]] = lay.col_vals[at]
         else:
-            a[self._unit_row[q]] = lay.unit_sign[q - self.n]
+            a[self._unit_row[q]] = self.unit_sign[q - self.n]
         return a
 
-    def _unit_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row and sign of each slack and artificial column (kernel form)."""
-        return self._unit_row[self.n:], self.layout.unit_sign
-
     def _times_a(self, v: np.ndarray) -> np.ndarray:
-        """``v @ A``; the kernel form goes through the structural nonzeros
-        and takes the slack and artificial columns as signed unit columns."""
+        """``v @ A``: the structural columns through the layout's store,
+        the slack and artificial columns as signed unit columns."""
         if self.dense:
-            return v @ self.A
-        rows, cols, vals = self._nz
-        unit_rows, signs = self._unit_columns()
-        return np.concatenate([np.bincount(cols, weights=v[rows] * vals, minlength=self.n),
-                               v[unit_rows] * signs])
+            structural = (v @ self.A)[:self.n]
+        else:
+            rows, cols, vals = self._nz
+            structural = np.bincount(cols, weights=v[rows] * vals, minlength=self.n)
+        return np.concatenate([structural, v[self._unit_row[self.n:]] * self.unit_sign])
 
     def _a_times(self, x: np.ndarray) -> np.ndarray:
         """``A @ x``, formed like :meth:`_times_a`."""
         if self.dense:
-            return self.A @ x
-        rows, cols, vals = self._nz
-        unit_rows, signs = self._unit_columns()
-        return (np.bincount(rows, weights=vals * x[cols], minlength=self.m)
-                + np.bincount(unit_rows, weights=signs * x[self.n:], minlength=self.m))
+            structural = self.A[:, :self.n] @ x[:self.n]
+        else:
+            rows, cols, vals = self._nz
+            structural = np.bincount(rows, weights=vals * x[cols], minlength=self.m)
+        return structural + np.bincount(self._unit_row[self.n:],
+                                        weights=self.unit_sign * x[self.n:], minlength=self.m)
 
     def _recompute_basic_values(self) -> None:
         xfull = self.x.copy()
@@ -552,10 +549,6 @@ class _Simplex:
         return abs(w[k]) <= 1e-9 * float(np.max(np.abs(w)))
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        # Dense-form products stay inline here and in _primal_step: dispatch
-        # LPs are solved thousands of times, so they skip the helper calls.
-        if self.dense:
-            return c - self.A.T @ (self.binv.T @ c[self.basis])
         return c - self._times_a(self._btran(c[self.basis]))
 
     def _derive_masks(self) -> None:
@@ -682,13 +675,13 @@ class _Simplex:
         self.stat[:] = _AT_LOWER
 
         # Slacks and artificials are at zero: this is the structural part of A x.
-        resid = self.b - (self.A[:, :n] @ self.x[:n] if self.dense else self._a_times(self.x))
+        resid = self.b - self._a_times(self.x)
         rows = np.arange(m)
         # A <= row's slack carries a surplus; every other row starts on its
         # artificial, signed to take the residual at a nonnegative value.
         slack = (rows >= self.m_eq) & (resid >= 0.0)
         art = self.art[~slack]
-        self.layout.sign_artificials(rows[~slack], np.where(resid[~slack] >= 0.0, 1.0, -1.0))
+        self.unit_sign[self.n_slack + rows[~slack]] = np.where(resid[~slack] >= 0.0, 1.0, -1.0)
         c1 = np.zeros(self.n_total)
         c1[art] = 1.0
         self.basis = np.where(slack, n + rows - self.m_eq, self.art)
@@ -848,11 +841,7 @@ def _finish(sx: _Simplex, status: str) -> tuple[LPSolution, BasisState | None]:
 def solve_lp_with_state(lp: LinearProgram) -> tuple[LPSolution, BasisState | None]:
     """Like :func:`solve_lp` but also returns the optimal basis for warm starts."""
     sx = _Simplex(lp)
-    try:
-        return _finish(sx, STATUS_OPTIMAL if sx.phase1() else STATUS_INFEASIBLE)
-    finally:
-        # Phase 1 signed the artificials in the layout.
-        sx.layout.sign_artificials(np.arange(sx.m), 1.0)
+    return _finish(sx, STATUS_OPTIMAL if sx.phase1() else STATUS_INFEASIBLE)
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:

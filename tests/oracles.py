@@ -79,15 +79,15 @@ def lp_vertex_optimum(lp: LinearProgram, tol: float = 1e-8):
     return "optimal", best_obj, best_x
 
 
-def milp_enumerate_optimum(problem, tol: float = 1e-8):
-    """Optimum of a small mixed-binary program by trying every assignment.
+def milp_enumerate_optimum(lp: LinearProgram, binary, tol: float = 1e-8):
+    """Optimum of a small mixed-binary program, ``lp`` with the variables
+    ``binary`` restricted to {0, 1}, by trying every assignment.
 
     Binaries are substituted out and each continuous remainder is solved by
     :func:`lp_vertex_optimum`, so the reference shares nothing with the
     branch-and-bound code under test. Returns ``(status, objective, x)``.
     """
-    lp = problem.lp
-    bin_idx = np.asarray(problem.binary, dtype=np.int64)
+    bin_idx = np.asarray(binary, dtype=np.int64)
     cont_idx = np.setdiff1d(np.arange(lp.n_vars), bin_idx)
     best_obj = None
     best_x = None
@@ -379,3 +379,16 @@ def random_box_lp(rng: np.random.Generator, n: int, m_ub: int,
     b_eq = a_eq @ x0 if m_eq else None
     return LinearProgram(c, a_eq=a_eq, b_eq=b_eq, a_ub=a_ub, b_ub=b_ub,
                          lower=lower, upper=upper)
+
+
+def layout_bytes(layout) -> dict[str, bytes]:
+    """Bytes of every array a simplex layout keeps, by attribute, except its
+    warm-start factorization ``last_factor``, which warm solves replace."""
+    kept = {}
+    for name, value in vars(layout).items():
+        if name == "last_factor":
+            continue
+        for i, a in enumerate(value if isinstance(value, tuple) else (value,)):
+            if isinstance(a, np.ndarray):
+                kept[f"{name}[{i}]"] = a.tobytes()
+    return kept

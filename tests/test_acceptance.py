@@ -29,7 +29,7 @@ from arotnep.decomp import (
     worst_case_cost,
 )
 from arotnep.ellipsoid import EllipsoidalSet, soyster_beta
-from arotnep.milp import MILPProblem, solve_milp
+from arotnep.milp import solve_milp
 from arotnep.montecarlo import SimulationStudy, run_simulation
 from arotnep.network import (
     LINE_CANDIDATE,
@@ -314,14 +314,12 @@ def test_criterion_07_solvers_match_enumeration_oracles():
         m_ub = int(rng.integers(1, 4))
         a_ub = rng.normal(size=(m_ub, n))
         c = rng.normal(size=n)
-        problem = MILPProblem(
-            LinearProgram(c if k % 2 == 0 else -c, a_ub=a_ub,
-                          b_ub=a_ub @ x0 + rng.uniform(0.05, 1.0, m_ub),
-                          lower=lower, upper=upper),
-            np.arange(n_bin))
-        sol = solve_milp(problem)
+        lp = LinearProgram(c if k % 2 == 0 else -c, a_ub=a_ub,
+                           b_ub=a_ub @ x0 + rng.uniform(0.05, 1.0, m_ub),
+                           lower=lower, upper=upper)
+        sol = solve_milp(lp, np.arange(n_bin))
         assert sol.status == "optimal", k
-        _, reference, _ = milp_enumerate_optimum(problem)
+        _, reference, _ = milp_enumerate_optimum(lp, np.arange(n_bin))
         gap = abs(sol.objective - reference) / (1.0 + abs(reference))
         worst_milp = max(worst_milp, gap)
         assert gap <= 1e-8, k

@@ -404,15 +404,14 @@ def test_validate_zero_samples_rejected_at_config(tmp_path):
 def test_sweep_monotone_objective_and_matching_single_row(tmp_path):
     cfg_path = write_study(tmp_path, base_twobus_study())
     rc = main(["sweep", "--config", str(cfg_path),
-               "--betas", "0,0.5,1.28155", "--repeats", "2"])
+               "--betas", "0,0.5,1.28155"])
     assert rc == 0
     rows = read_sweep_rows(tmp_path / "out" / "sweep.csv")
     assert [row["status"] for row in rows] == ["converged"] * 3
     objectives = [float(row["objective"]) for row in rows]
     assert objectives == sorted(objectives)
     for row in rows:
-        assert row["runtime_mean_s"] != ""
-        assert row["runtime_std_s"] != ""
+        assert float(row["runtime_s"]) > 0.0
 
     # A one-entry sweep at radius zero matches the plan command's output.
     zero = base_twobus_study()
@@ -449,8 +448,6 @@ def test_sweep_argument_validation(tmp_path):
     assert main(["sweep", "--config", str(cfg_path), "--betas", " , "]) == 4
     assert main(["sweep", "--config", str(cfg_path), "--betas", "-1"]) == 4
     assert main(["sweep", "--config", str(cfg_path), "--betas", "weird"]) == 4
-    assert main(["sweep", "--config", str(cfg_path), "--betas", "1",
-                 "--repeats", "0"]) == 4
 
 
 # ---------------------------------------------------------------------------

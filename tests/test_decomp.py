@@ -7,6 +7,7 @@ convergence points for the two-bus network.
 """
 
 import logging
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -402,20 +403,20 @@ def test_master_builds_first_of_identical_candidates():
     assert res.investment == pytest.approx(10.0)
 
 
-def highs_master(problem, exclude=None):
-    """HiGHS optimum of a recorded master MILP, optionally with a no-good
-    cut that forbids the binary assignment ``exclude``."""
+def highs_master(lp, binary, exclude=None):
+    """HiGHS optimum of a recorded master MILP, ``lp`` with the variables
+    ``binary`` restricted to {0, 1}, optionally with a no-good cut that
+    forbids the binary assignment ``exclude``."""
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    lp = problem.lp
     rows = [LinearConstraint(lp.a_eq, lp.b_eq, lp.b_eq),
             LinearConstraint(lp.a_ub, -np.inf, lp.b_ub)]
     if exclude is not None:
         cut = np.zeros(lp.n_vars)
-        cut[problem.binary] = np.where(exclude == 1, -1.0, 1.0)
+        cut[binary] = np.where(exclude == 1, -1.0, 1.0)
         rows.append(LinearConstraint(cut, 1.0 - float(np.sum(exclude)), np.inf))
     integrality = np.zeros(lp.n_vars)
-    integrality[problem.binary] = 1
+    integrality[binary] = 1
     return milp(lp.objective, constraints=rows, integrality=integrality,
                 bounds=Bounds(lp.lower, lp.upper), options={"mip_rel_gap": 1e-10})
 
@@ -439,15 +440,15 @@ def test_master_matches_highs_on_garver_study(n_scen, monkeypatch, caplog):
 
     seen = []
 
-    def recording(problem, **kwargs):
-        seen.append(problem)
-        return solve_milp(problem, **kwargs)
+    def recording(lp, binary, **kwargs):
+        seen.append((lp, binary))
+        return solve_milp(lp, binary, **kwargs)
 
     monkeypatch.setattr(dc, "solve_milp", recording)
     res = solve_master(net, scenarios)
-    (problem,) = seen
+    ((lp, binary),) = seen
 
-    ref = highs_master(problem)
+    ref = highs_master(lp, binary)
     assert ref.status == 0
     assert res.objective == pytest.approx(ref.fun, rel=1e-6)
     if n_scen > 1:
@@ -457,8 +458,8 @@ def test_master_matches_highs_on_garver_study(n_scen, monkeypatch, caplog):
         assert not [r for r in caplog.records if "fell back" in r.getMessage()]
         assert warm.objective == pytest.approx(res.objective, rel=1e-9)
         assert warm.objective == pytest.approx(ref.fun, rel=1e-6)
-    xbin = np.round(ref.x[problem.binary]).astype(int)
-    runner_up = highs_master(problem, exclude=xbin)
+    xbin = np.round(ref.x[binary]).astype(int)
+    runner_up = highs_master(lp, binary, exclude=xbin)
     if runner_up.status == 0 and runner_up.fun <= ref.fun * (1.0 + 1e-6):
         return  # another plan ties; the built set is not determined
     built = frozenset(ln.id for ln, x in zip(net.candidate_lines, xbin) if x == 1)
@@ -544,14 +545,73 @@ def test_outer_zero_radius_matches_nominal_master(garver_annual):
     assert_bounds_sound(plan)
 
 
-def plan_garver6_study():
-    """``outer_solve`` on the bundled garver6 study, with its settings."""
+def plan_garver6_study(edit=None):
+    """``outer_solve`` on the bundled garver6 study, with its settings, on
+    its network or on ``edit`` of it.  Returns the plan and the network."""
     cfg = load_study_config(study_path("garver6_study"))
     net = load_configured_network(cfg)
-    return outer_solve(net, build_uncertainty(cfg, net), tol=cfg.tolerance,
+    if edit is not None:
+        net = edit(net)
+    plan = outer_solve(net, build_uncertainty(cfg, net), tol=cfg.tolerance,
                        max_outer=cfg.max_outer, inner_tol=cfg.tolerance,
                        max_inner=cfg.max_inner, inner_starts=cfg.inner_starts,
                        seed=cfg.seed, master_gap=cfg.tolerance)
+    return plan, net
+
+
+@pytest.fixture(scope="module")
+def garver6_plan():
+    return plan_garver6_study()[0]
+
+
+def reverse_lines(net):
+    return replace(net, lines=net.lines[::-1])
+
+
+def reverse_candidates(net):
+    backwards = iter(net.candidate_lines[::-1])
+    return replace(net, lines=tuple(next(backwards) if ln.status == LINE_CANDIDATE else ln
+                                    for ln in net.lines))
+
+
+def line_kinds(net, built):
+    """``built`` with interchangeable candidates (one corridor, equal data)
+    counted as one kind."""
+    kind = {ln.id: (tuple(sorted((ln.from_bus, ln.to_bus))), ln.susceptance,
+                    ln.capacity_mw, ln.build_cost) for ln in net.candidate_lines}
+    return Counter(kind[b] for b in built)
+
+
+@pytest.mark.parametrize("edit", [reverse_lines, reverse_candidates])
+def test_line_order_changes_the_plan_only_among_copies(edit, garver6_plan):
+    # Reversed candidates reverse the symmetry-breaking order of identical
+    # copies, so on garver6 the master picks other letters of the same
+    # corridors (C3-5b/c for C3-5a/b, C4-6b/c for C4-6a/b).
+    plan, net = plan_garver6_study(edit)
+    ref = garver6_plan
+    assert line_kinds(net, plan.built) == line_kinds(net, ref.built)
+    for name in ("objective", "worst_cost", "investment"):
+        assert getattr(plan, name) == pytest.approx(getattr(ref, name), rel=3e-16), name
+
+
+def double_prices(net):
+    """Every marginal cost, bid, shed cost, build cost and the budget doubled."""
+    return replace(
+        net, budget=2.0 * net.budget,
+        generators=tuple(replace(g, marginal_cost=2.0 * g.marginal_cost)
+                         for g in net.generators),
+        demands=tuple(replace(d, bid_price=2.0 * d.bid_price, shed_cost=2.0 * d.shed_cost)
+                      for d in net.demands),
+        lines=tuple(replace(ln, build_cost=2.0 * ln.build_cost) for ln in net.lines))
+
+
+def test_doubled_prices_double_every_cost(garver6_plan):
+    plan, _ = plan_garver6_study(double_prices)
+    ref = garver6_plan
+    assert plan.built == ref.built
+    assert plan.objective == 2.0 * ref.objective
+    assert plan.worst_cost == 2.0 * ref.worst_cost
+    assert plan.investment == 2.0 * ref.investment
 
 
 def test_outer_solves_one_master_root_cold(monkeypatch):
@@ -564,7 +624,7 @@ def test_outer_solves_one_master_root_cold(monkeypatch):
                 cold_rows.append(lp.b_eq.size + lp.b_ub.size)
             return _clean(lp)
         monkeypatch.setattr(module, "solve_lp_with_state", counted)
-    plan = plan_garver6_study()
+    plan, _ = plan_garver6_study()
     masters = [it for it in plan.iterations if it.master_nodes]
     assert len(masters) >= 2
     assert len(cold_rows) == 1
@@ -581,7 +641,7 @@ def test_outer_searches_each_plan_once(monkeypatch):
         return clean(net, es, built, **kwargs)
 
     monkeypatch.setattr(dc, "worst_case_cost", recording)
-    visited = [it.built for it in plan_garver6_study().iterations]
+    visited = [it.built for it in plan_garver6_study()[0].iterations]
     assert len(set(visited)) < len(visited)
     assert searched == list(dict.fromkeys(visited))
 

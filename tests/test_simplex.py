@@ -187,7 +187,7 @@ def test_dual_pivots_keep_the_rows_satisfied(seed):
     sx._recompute_basic_values()
     status = sx.dual_optimize(sx.c)
     assert sx.iterations > pivots
-    assert np.max(np.abs(sx.A @ sx.x - sx.b)) <= 1e-9
+    assert np.max(np.abs(sx._a_times(sx.x) - sx.b)) <= 1e-9
     if status == "optimal":
         assert np.all(sx.x >= sx.lower - sx.tol_p)
         assert np.all(sx.x <= sx.upper + sx.tol_p)
@@ -280,7 +280,7 @@ def mixed_basis_simplex(rng, n, m_eq, m_ub, n_unit):
                        b_eq=rng.normal(size=m_eq), a_ub=rng.normal(size=(m_ub, n)),
                        b_ub=rng.normal(size=m_ub))
     sx = _Simplex(lp)
-    sx.layout.sign_artificials(np.arange(sx.m), rng.choice([-1.0, 1.0], size=sx.m))
+    sx.unit_sign[sx.art - sx.n] = rng.choice([-1.0, 1.0], size=sx.m)
     rows = rng.permutation(sx.m)[:n_unit]
     unit = [sx.n + r - m_eq if r >= m_eq and rng.random() < 0.5 else int(sx.art[r])
             for r in rows]
@@ -579,6 +579,13 @@ def grown_pair():
     return Layout(old), Layout(grown)
 
 
+def layout_matrix(layout):
+    """The constraint matrix over all of ``layout``'s columns, as a cold
+    solve's working state reads it before phase 1."""
+    sx = _Simplex(layout.program(layout.source.lower, layout.source.upper))
+    return np.column_stack([sx._column(j) for j in range(sx.n_total)])
+
+
 def test_basis_state_extends_to_added_rows_and_columns():
     old, grown = grown_pair()
     # Tag each old column through its status to find where it lands.
@@ -588,7 +595,8 @@ def test_basis_state_extends_to_added_rows_and_columns():
     col_map = np.array([np.flatnonzero(ext.status == 10 + j)[0]
                         for j in range(old.n_total)])
     row_map = [0, 2, 4]  # [eq0 | ub0, ub1] among [eq0, eq1 | ub0, new, ub1]
-    assert np.array_equal(grown.A[np.ix_(row_map, col_map)], old.A)
+    old_a, grown_a = (layout_matrix(lay) for lay in (old, grown))
+    assert np.array_equal(grown_a[np.ix_(row_map, col_map)], old_a)
     assert ext.basis[:3].tolist() == col_map[[4, 0, 2]].tolist()
     # The new equality row's artificial and the new <= row's slack are basic;
     # the new column and the other new artificial sit at their lower bounds.
@@ -690,14 +698,21 @@ def test_kernel_form_matches_highs_cold_and_warm(seed, caplog):
 
 def test_unit_columns_read_the_current_signs():
     rng = np.random.default_rng(5600)
-    sx = mixed_basis_simplex(rng, *KERNEL_ROWS, 3)
-    # mixed_basis_simplex flips artificial signs in the layout after
-    # construction, as phase 1 does.
-    rows, signs = sx._unit_columns()
-    np.testing.assert_array_equal(rows, sx._unit_row[sx.n:])
-    units = np.column_stack([sx._column(j) for j in range(sx.n, sx.n_total)])
-    np.testing.assert_array_equal(units, np.eye(sx.m)[rows].T * signs)
-    assert np.any(signs[sx.art - sx.n] < 0.0)
+    for rows in (DENSE_ROWS, KERNEL_ROWS):
+        sx = mixed_basis_simplex(rng, *rows, 3)
+        # mixed_basis_simplex flips artificial signs after construction, as
+        # phase 1 does; columns and products must read them.
+        signs = sx.unit_sign
+        assert np.any(signs[sx.art - sx.n] < 0.0)
+        units = np.column_stack([sx._column(j) for j in range(sx.n, sx.n_total)])
+        np.testing.assert_array_equal(units, np.eye(sx.m)[sx._unit_row[sx.n:]].T * signs)
+        a = np.column_stack([sx._column(j) for j in range(sx.n_total)])
+        v, x = rng.normal(size=sx.m), rng.normal(size=sx.n_total)
+        np.testing.assert_allclose(sx._times_a(v), v @ a, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sx._a_times(x), a @ x, rtol=1e-12, atol=1e-12)
+        # Another solve on the same layout starts from +1 signs.
+        fresh = _Simplex(sx.layout.program(sx.lower[:sx.n], sx.upper[:sx.n]))
+        assert np.all(fresh.unit_sign == 1.0)
 
 
 def test_kernel_refactor_rejects_singular_kernel():
@@ -734,7 +749,7 @@ def test_kernel_refactor_rejects_unsigned_artificial():
         sx = mixed_basis_simplex(rng, *rows, 0)
         # Every artificial column starts as +e_i; the guard still catches a
         # unit column that has lost the entry on its own row.
-        sx.layout.sign_artificials(np.array([0]), 0.0)
+        sx.unit_sign[sx.art[0] - sx.n] = 0.0
         sx.basis[0] = sx.art[0]
         with pytest.raises(NumericalError, match="singular"):
             sx._refactor()
